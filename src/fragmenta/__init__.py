@@ -32,6 +32,7 @@ from .dynamics import (
     CoherenceSeries,
     SparseOperator,
     build_heff,
+    build_czp_strong,
     build_hczp,
     build_perturbation,
     coherence_experiment,

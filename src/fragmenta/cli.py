@@ -244,6 +244,8 @@ def _cmd_evolve(args):
     block = blocks[args.block]
     if args.hamiltonian == "heff":
         H = dyn.build_heff(lat, h=args.h)
+    elif args.hamiltonian == "czp_strong":
+        H = dyn.build_czp_strong(lat, J=args.J, h=args.h)
     else:
         H = dyn.build_hczp(lat, J=args.J, h=args.h)
     if args.perturbation != "none":
@@ -273,6 +275,9 @@ def _cmd_evolve(args):
         "series": rows,
         "final_tomography": series.tomography[-1],
         "final_fidelity": float(series.fidelity[-1]),
+        "chebyshev_order": series.counters.chebyshev_order,
+        "probe_dim": series.counters.probe_dim,
+        "error_bound": series.counters.error_bound,
         "scaling_note": "single-size run; exponential-in-L stability claims are untested here",
     }
     _emit(report, args.out)
@@ -338,7 +343,7 @@ def build_parser():
 
     p = sub.add_parser("evolve", help="coherence experiment under exact evolution")
     common(p)
-    p.add_argument("--hamiltonian", choices=("heff", "czp"), default="heff")
+    p.add_argument("--hamiltonian", choices=("heff", "czp", "czp_strong"), default="heff")
     p.add_argument(
         "--perturbation",
         choices=("none",) + dyn.PERTURBATION_KINDS,

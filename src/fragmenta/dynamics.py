@@ -13,15 +13,28 @@ toggles exactly; verified at construction) and two symmetry-breaking kinds
 are used for the breaking default because a uniform field can have a
 vanishing first-order effect on sublattice-balanced code states.
 
-Time evolution uses an adaptive Lanczos propagator: per substep a small
-Krylov basis is built with full reorthogonalization, the tridiagonal
-exponential is taken by dense diagonalization, and the step is accepted
-when the standard residual estimate beta_m * |u_m| falls below the
-tolerance; otherwise the step is halved.  An invariant starting vector
-triggers the happy-breakdown path and is propagated exactly.
+The CZ_p model at strong coupling (build_czp_strong) is heff plus the
+plaquette energy: a flip that creates wall crossings costs at least 2J.
+
+Time evolution takes one of two paths, both for real symmetric H only.  A
+short Lanczos probe (at most _PROBE_DIM vectors, full reorthogonalization)
+first tests whether the Krylov space of the initial state closes; if it
+does, the state is propagated exactly in that subspace for every time at
+once.  Otherwise exp(-iHt) is expanded in Chebyshev polynomials (Tal-Ezer
+and Kosloff 1984),
+
+    exp(-iHt) psi = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(at) T_k((H-c)/a) psi,
+
+with centre c and half-width a of a Gershgorin interval around the
+spectrum.  The three-term recursion runs on the real and imaginary parts
+of psi separately, so each order costs one real mat-vec per part, and one
+recursion serves a whole time grid.  Its order is the smallest K whose
+Bessel tail |psi| sum_{k>=K} 2|J_k(at)| is at most tol at every requested
+time, so tol bounds the global 2-norm error at each time, not a
+per-step local error.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +51,8 @@ PERTURBATION_KINDS = (
 )
 
 _DYNAMICS_SITE_CAP = 24  # dense vectors of 2^24 amplitudes at most
+_PROBE_DIM = 6           # Lanczos vectors the invariant-subspace probe may build
+_BREAKDOWN_TOL = 1e-13   # happy breakdown: residual below this times max(1, |alpha|)
 
 
 @dataclass(frozen=True)
@@ -108,6 +123,11 @@ def build_hczp(lat, J=1.0, h=1.0):
         shape=(dim, dim),
     )
     return SparseOperator(matrix=matrix, hermitian=True)
+
+
+def build_czp_strong(lat, J=1.0, h=1.0):
+    """CZ_p model at strong coupling: heff's flips plus -J sum_p CZ_p."""
+    return build_heff(lat, h=h) + build_hczp(lat, J=J, h=0.0)
 
 
 def _z_values(cfgs, site):
@@ -197,79 +217,156 @@ def build_perturbation(lat, kind, lam, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Lanczos propagator
+# propagator
 
 
-def _lanczos_step(H, psi, dt, max_krylov, breakdown_tol=1e-13):
-    """One exp(-i H dt) substep.  Returns (new_state, error_estimate).
-
-    After m iterations without breakdown, betas[:m-1] are the tridiagonal
-    couplings and betas[m-1] is the coupling out of the subspace, which
-    enters the standard residual estimate beta_out * |u_m|.
-    """
-    beta0 = np.linalg.norm(psi)
-    V = [psi / beta0]
-    alphas = []
-    betas = []
-    breakdown = False
-    for j in range(max_krylov):
-        w = H @ V[j]
-        alpha = float(np.vdot(V[j], w).real)
-        alphas.append(alpha)
-        w = w - alpha * V[j]
-        if j > 0:
-            w = w - betas[j - 1] * V[j - 1]
-        # full reorthogonalization: the basis is small, the cost negligible
-        for u in V:
-            w = w - np.vdot(u, w) * u
-        beta = float(np.linalg.norm(w))
-        if beta < breakdown_tol * max(1.0, abs(alpha)):
-            breakdown = True
-            break
-        betas.append(beta)
-        V.append(w / beta)
-
-    m = len(alphas)
-    if m == 1:
-        u = np.array([np.exp(-1j * dt * alphas[0])])
-    else:
-        evals, evecs = eigh_tridiagonal(alphas, betas[: m - 1])
-        u = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
-    new_state = beta0 * (np.column_stack(V[:m]) @ u)
-    err = 0.0 if breakdown else float(abs(betas[m - 1] * u[m - 1]))
-    return new_state, err
-
-
-def evolve(state, op, t, tol=1e-10, max_krylov=40):
-    """Propagate exp(-i H t)|state> with local error per substep <= tol.
-
-    Raises RuntimeError when the adaptive step control fails to converge.
-    """
+def _check_tol(tol):
     if tol < 1e-12:
         raise ValueError("tol must be >= 1e-12")
+
+
+def _krylov_probe(H, psi):
+    """Lanczos from psi, at most _PROBE_DIM vectors, full reorthogonalization.
+
+    Returns (basis, evals, evecs, residual) when the Krylov space closes
+    (happy breakdown): basis is a list of orthonormal vectors, evals/evecs
+    diagonalize the tridiagonal projection, residual is the coupling out of
+    the space.  Returns None when it does not close within _PROBE_DIM vectors.
+    """
+    real = not np.any(psi.imag)
+    v = psi.real if real else psi
+    basis = [v / np.linalg.norm(v)]
+    alphas, betas = [], []
+    for j in range(_PROBE_DIM):
+        u = basis[j]
+        w = H @ u if real else H @ u.real + 1j * (H @ u.imag)
+        alpha = float(np.vdot(u, w).real)
+        alphas.append(alpha)
+        for _ in range(2):  # modified Gram-Schmidt, twice
+            for b in basis:
+                w -= np.vdot(b, w) * b
+        beta = float(np.linalg.norm(w))
+        if beta < _BREAKDOWN_TOL * max(1.0, abs(alpha)):
+            evals, evecs = eigh_tridiagonal(alphas, betas)
+            return basis, evals, evecs, beta
+        betas.append(beta)
+        basis.append(w / beta)
+    return None
+
+
+def _spectral_interval(H):
+    """Centre c and half-width a of a Gershgorin interval holding spec(H)."""
+    d = H.diagonal()
+    radius = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(d)
+    lo = float(np.min(d - radius))
+    hi = float(np.max(d + radius))
+    return 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+
+def _chebyshev_coefficients(x, tol):
+    """Coefficients (2 - delta_k0) (-i)^k J_k(x_j) for k < K, shape (K, len(x)).
+
+    K is the smallest order whose Bessel tail sum_{k>=K} 2|J_k(x_j)| is at
+    most tol at every x_j; that tail is returned as the bound reached.
+    Orders from kmax on are bounded by 4 (|x|/2)^kmax / kmax!, which holds
+    for kmax >= |x| and is kept below tol / 1e6.
+    """
+    from scipy.special import gammaln, jv
+
+    xmax = max(float(np.abs(x).max()), 1.0)
+    ks = np.arange(int(np.ceil(xmax)), int(3 * xmax) + 100)
+    log_rest = np.log(4.0) + ks * np.log(xmax / 2.0) - gammaln(ks + 1.0)
+    kmax = int(ks[np.argmax(log_rest < np.log(tol) - 6.0 * np.log(10.0))])
+    bessel = jv(np.arange(kmax)[:, None], x[None, :])
+    tails = np.zeros(kmax + 1)
+    tails[:kmax] = np.cumsum(2.0 * np.abs(bessel[::-1]), axis=0)[::-1].max(axis=1)
+    tails += np.exp(log_rest[kmax - ks[0]])
+    order = int(np.argmax(tails <= tol))
+    phases = np.array([1.0, -1j, -1.0, 1j])[np.arange(order) % 4]
+    coef = phases[:, None] * bessel[:order]
+    coef[1:] *= 2.0
+    return coef, float(tails[order])
+
+
+def _chebyshev_terms(H, c, a, parts, order):
+    """Yield [T_k((H - c)/a) v for v in parts] for k < order, parts real."""
+    dim = H.shape[0]
+    M = ((H - c * sp.identity(dim, format="csr")) * (2.0 / a)).tocsr()
+    prev = parts
+    yield prev
+    if order < 2:
+        return
+    cur = [0.5 * (M @ v) for v in parts]
+    yield cur
+    for _ in range(2, order):
+        nxt = [M @ v for v in cur]
+        for n, u in zip(nxt, prev):
+            n -= u
+        prev, cur = cur, nxt
+        yield cur
+
+
+@dataclass(frozen=True)
+class PropagatorCounters:
+    """Deterministic solver counters of one propagation."""
+
+    chebyshev_order: int   # orders of the Chebyshev recursion; 0 on the probe path
+    probe_dim: int         # Lanczos vectors the invariant-subspace probe built
+    error_bound: float     # a-priori bound on the 2-norm error at every time
+
+
+def _propagate(op, psi0, times, tol, rows=None):
+    """exp(-i H t_j) psi0 at every t_j in times, on the basis indices rows.
+
+    Returns the amplitudes, shape (len(times), len(rows)), or the full
+    states when rows is None, and the PropagatorCounters.
+    """
+    H = op.matrix
+    if np.iscomplexobj(H):
+        raise ValueError("the propagator needs a real symmetric operator")
+    times = np.asarray(times, dtype=float)
+    sel = slice(None) if rows is None else rows
+    width = H.shape[0] if rows is None else len(rows)
+    values = np.zeros((len(times), width), dtype=complex)
+    norm = float(np.linalg.norm(psi0))
+    if norm == 0.0:
+        return values, PropagatorCounters(0, 0, 0.0)
+
+    probe = _krylov_probe(H, psi0)
+    if probe is not None:
+        basis, evals, evecs, residual = probe
+        y = (np.exp(-1j * np.outer(times, evals)) * evecs[0]) @ evecs.T
+        values = norm * (y @ np.array([b[sel] for b in basis]))
+        bound = norm * residual * float(np.abs(times).max())
+        return values, PropagatorCounters(0, len(evals), bound)
+
+    c, a = _spectral_interval(H)
+    coef, bound = _chebyshev_coefficients(a * times, tol / norm)
+    parts = [psi0.real.copy()]
+    if np.any(psi0.imag):
+        parts.append(psi0.imag.copy())
+    for k, vs in enumerate(_chebyshev_terms(H, c, a, parts, len(coef))):
+        for phase, v in zip((1.0, 1j), vs):
+            values += np.outer(phase * coef[k], v[sel])
+    values *= np.exp(-1j * c * times)[:, None]
+    return values, PropagatorCounters(len(coef), _PROBE_DIM, norm * bound)
+
+
+def evolve(state, op, t, tol=1e-10):
+    """exp(-i H t)|state> for real symmetric H and any finite t.
+
+    Negative t evolves backward.  tol bounds the 2-norm error of the
+    result; t = NaN or +-inf raises ValueError.
+    """
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    _check_tol(tol)
     psi = np.array(state, dtype=complex, copy=True)
     if t == 0:
         return psi
-    H = op.matrix
-    remaining = float(t)
-    dt = remaining
-    min_dt = abs(t) * 1e-12
-    while remaining > 1e-15 * abs(t):
-        dt = min(dt, remaining)
-        while True:
-            new_state, err = _lanczos_step(H, psi, dt, max_krylov)
-            if err <= tol:
-                break
-            dt /= 2.0
-            if dt < min_dt:
-                raise RuntimeError(
-                    f"propagator failed to converge (dt underflow at err={err:g})"
-                )
-        psi = new_state
-        remaining -= dt
-        if err < 0.1 * tol:
-            dt *= 2.0
-    return psi
+    values, _ = _propagate(op, psi, [t], tol)
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +381,7 @@ class CoherenceSeries:
     tomography: tuple            # dict per grid point
     population: np.ndarray
     fidelity: np.ndarray         # |<psi(0)|psi(t)>|
+    counters: PropagatorCounters  # of the one propagation behind the grid
 
     def coherence(self, sublattice="A"):
         """Complex qubit coherence <X_s> + i <Y_s> per grid point."""
@@ -311,25 +409,32 @@ def coherence_experiment(block, op, times, tol=1e-10, initial=None):
     """Evolve a logical superposition and record tomography on a time grid.
 
     The default initial state is (|alpha;00> + |alpha;10>)/sqrt(2), the
-    +1 eigenstate of the logical X_A coherence probe.
+    +1 eigenstate of the logical X_A coherence probe.  One propagation
+    serves the whole grid: it records the amplitudes on the block members
+    and on the support of the initial state, and tol bounds the 2-norm
+    error of the state at every grid point.
     """
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must start at 0 and increase strictly")
+    _check_tol(tol)
     psi0 = logical_state(block, DEFAULT_PROBE) if initial is None else initial
-    psi = psi0.copy()
-    tomography = [logical_tomography(psi, block)]
-    population = [tomography[0]["population"]]
-    fidelity = [abs(np.vdot(psi0, psi))]
-    for k in range(1, len(times)):
-        psi = evolve(psi, op, times[k] - times[k - 1], tol=tol)
-        tom = logical_tomography(psi, block)
-        tomography.append(tom)
-        population.append(tom["population"])
-        fidelity.append(abs(np.vdot(psi0, psi)))
+    members = np.array(block.members)
+    rows = np.union1d(members, np.flatnonzero(psi0))
+    values, counters = _propagate(op, psi0, times, tol, rows)
+    values[0] = psi0[rows]  # exact at t = 0, free of the probe's rounding
+    fidelity = np.abs(values @ psi0[rows].conj())
+    state = np.zeros(block.dimension, dtype=complex)
+    tomography = []
+    for amps in values[:, np.searchsorted(rows, members)]:
+        state[members] = amps
+        tomography.append(logical_tomography(state, block))
     return CoherenceSeries(
         times=times,
         tomography=tuple(tomography),
-        population=np.array(population),
-        fidelity=np.array(fidelity),
+        population=np.array([tom["population"] for tom in tomography]),
+        fidelity=fidelity,
+        counters=counters,
     )

@@ -252,19 +252,19 @@ def criterion_error_detection(lat, blocks):
     return CriterionResult(6, "error_detection", passed, details)
 
 
-def contrast_base(lat, heff):
-    """Criterion-7 base: the CZ_p model at strong coupling.
+def contrast_base(lat):
+    """Criterion-7 base: the CZ_p model at strong coupling, J = CONTRAST_J.
 
-    heff's constrained flips plus the plaquette energy -CONTRAST_J * sum_p
-    CZ_p.  A symmetric flip that creates wall crossings then costs at least
-    2 * CONTRAST_J instead of nothing.
+    heff's constrained flips plus the plaquette energy -J sum_p CZ_p.  A
+    symmetric flip that creates wall crossings then costs at least 2J
+    instead of nothing.
     """
-    return heff + dyn.build_hczp(lat, J=CONTRAST_J, h=0.0)
+    return dyn.build_czp_strong(lat, J=CONTRAST_J, h=1.0)
 
 
-def criterion_coherence_contrast(lat, heff, blocks, seed):
+def criterion_coherence_contrast(lat, blocks, seed):
     block = blocks[0]
-    base = contrast_base(lat, heff)
+    base = contrast_base(lat)
     sym = dyn.build_perturbation(lat, "sym_transverse", CONTRAST_LAMBDA, seed=seed)
     brk = dyn.build_perturbation(
         lat, "break_longitudinal_random", CONTRAST_LAMBDA, seed=seed
@@ -361,7 +361,7 @@ def run_all(seed=7):
         criterion_pauli_algebra(lat, blocks),
         criterion_gates(lat, blocks, seed),
         criterion_error_detection(lat, blocks),
-        criterion_coherence_contrast(lat, heff, blocks, seed),
+        criterion_coherence_contrast(lat, blocks, seed),
         criterion_quadflip(),
         criterion_determinism(lat, seed),
     ]

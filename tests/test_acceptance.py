@@ -100,13 +100,13 @@ def _read_curve(path):
     return [[float(v) for v in row] for row in rows[1:]]
 
 
-def test_criterion_7_coherence_contrast(lat, heff, blocks, tmp_path):
+def test_criterion_7_coherence_contrast(lat, blocks, tmp_path):
     """The breaking run loses at least ten times the symmetric run's coherence.
 
     Both curves are written under tmp_path and must read back exactly as
     the criterion's details report them.
     """
-    r = st.criterion_coherence_contrast(lat, heff, blocks, SEED)
+    r = st.criterion_coherence_contrast(lat, blocks, SEED)
     for name, key in (("sym_transverse", "curve_sym"),
                       ("break_longitudinal", "curve_break")):
         path = tmp_path / f"coherence_contrast_{name}.csv"
@@ -128,7 +128,7 @@ def test_contrast_symmetric_run_against_expm_multiply(lat, heff, blocks):
     # signs, propagated by scipy's scaling-and-squaring Taylor method
     pert = dyn.build_perturbation(lat, "sym_transverse", st.CONTRAST_LAMBDA,
                                   seed=SEED)
-    op_sym = st.contrast_base(lat, heff) + pert
+    op_sym = st.contrast_base(lat) + pert
     cfgs = np.arange(1 << lat.n_sites, dtype=np.uint32)
     plaquette = -st.CONTRAST_J * cm.cz_signs(cfgs, lat).sum(axis=1)
     reference_op = heff.matrix + pert.matrix + sp.diags(plaquette)

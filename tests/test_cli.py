@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from fragmenta import dynamics as dyn
+from fragmenta import encoding as enc
+from fragmenta import selftest
 from fragmenta.cli import main
+from fragmenta.lattice import build_lattice
 
 
 def run_cli(capsys, *argv):
@@ -129,3 +133,39 @@ def test_identical_invocations_identical_bytes(capsys):
     assert report["total_members"] == 1 << 16
     assert report["count_unflippable"] == 13924
     assert report["count_code_states"] == 56
+
+
+def test_evolve_czp_strong_reproduces_criterion_7(tmp_path, capsys):
+    # the CLI defaults (block 0, seed 7, lambda 0.05, tmax 50, 25 steps)
+    # are criterion 7's settings
+    csv_path = tmp_path / "sym.csv"
+    code, out = run_cli(capsys, "evolve", "--hamiltonian", "czp_strong",
+                        "--perturbation", "sym_transverse", "--csv", str(csv_path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["chebyshev_order"] > 0
+    assert report["error_bound"] <= report["tol"]
+    lines = csv_path.read_text().strip().splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    lat = build_lattice(4)
+    criterion = selftest.criterion_coherence_contrast(
+        lat, enc.enumerate_blocks(lat), 7)
+    assert rows == criterion.details["curve_sym"]
+
+
+def test_evolve_counters_identical_bytes(capsys):
+    argv = ("evolve", "--hamiltonian", "czp", "--h", "0.5",
+            "--perturbation", "sym_transverse", "--tmax", "1.0", "--steps", "4")
+    _, first = run_cli(capsys, *argv)
+    _, second = run_cli(capsys, *argv)
+    assert first == second
+    report = json.loads(first)
+    assert report["chebyshev_order"] > 0
+    assert report["probe_dim"] == dyn._PROBE_DIM
+    assert 0.0 < report["error_bound"] <= report["tol"]
+    # a diagonal perturbation keeps the probe in the block: no recursion
+    _, out = run_cli(capsys, "evolve", "--perturbation", "break_longitudinal_random",
+                     "--tmax", "1.0", "--steps", "4")
+    report = json.loads(out)
+    assert report["chebyshev_order"] == 0
+    assert 1 <= report["probe_dim"] <= 4

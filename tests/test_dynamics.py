@@ -221,3 +221,94 @@ def test_size_guard():
     big = build_lattice(6)
     with pytest.raises(ValueError):
         dyn.build_heff(big)
+
+
+def test_evolve_backward_returns_initial_state(lat, random_state):
+    op = dyn.build_hczp(lat, J=1.0, h=0.5)
+    forward = dyn.evolve(random_state, op, 1.5, tol=1e-10)
+    assert np.linalg.norm(forward - random_state) > 1e-3
+    back = dyn.evolve(forward, op, -1.5, tol=1e-10)
+    assert np.linalg.norm(back - random_state) <= 1e-9
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_times_rejected(heff, blocks, random_state, t):
+    with pytest.raises(ValueError):
+        dyn.evolve(random_state, heff, t)
+    with pytest.raises(ValueError):
+        dyn.coherence_experiment(blocks[0], heff, [0.0, 1.0, t])
+
+
+def test_complex_operator_rejected(heff, random_state):
+    op = dyn.SparseOperator(matrix=heff.matrix.astype(complex), hermitian=True)
+    with pytest.raises(ValueError):
+        dyn.evolve(random_state, op, 1.0)
+
+
+def _series_against_expm_multiply(block, op, psi0, t_stop, num, series):
+    # every grid point against scipy's scaling-and-squaring Taylor method
+    reference = expm_multiply(-1j * op.matrix.astype(complex), psi0,
+                              start=0.0, stop=t_stop, num=num, endpoint=True)
+    for k, ref in enumerate(reference):
+        expected = enc.logical_tomography(ref, block)
+        for key, value in expected.items():
+            assert abs(series.tomography[k][key] - value) <= 1e-9, (k, key)
+        assert abs(series.fidelity[k] - abs(np.vdot(psi0, ref))) <= 1e-9, k
+
+
+def test_chebyshev_path_against_expm_multiply(lat, blocks):
+    # a complex state on single-flip neighbours of the block: outside every
+    # block, so the probe cannot close and the recursion runs on both parts
+    block = blocks[0]
+    rng = np.random.default_rng(5)
+    psi0 = np.zeros(1 << lat.n_sites, dtype=complex)
+    for site in range(0, lat.n_sites, 3):
+        psi0[block.member(0, 0) ^ (1 << site)] = rng.normal() + 1j * rng.normal()
+    psi0 /= np.linalg.norm(psi0)
+    op = dyn.build_hczp(lat, J=1.0, h=0.5)
+    times = np.linspace(0.0, 1.0, 5)
+    series = dyn.coherence_experiment(block, op, times, tol=1e-10, initial=psi0)
+    assert series.counters.chebyshev_order > 0
+    assert series.counters.probe_dim == dyn._PROBE_DIM
+    assert 0.0 < series.counters.error_bound <= 1e-10
+    assert series.population.max() > 1e-3  # the block does get populated
+    _series_against_expm_multiply(block, op, psi0, 1.0, 5, series)
+
+
+def test_invariant_path_against_expm_multiply(lat, blocks, heff):
+    # break_zz_nn vanishes on every L=4 code state; the longitudinal field
+    # splits the member energies, so the probe closes on a subspace of
+    # dimension two to four
+    block = blocks[0]
+    op = (heff + dyn.build_perturbation(lat, "break_zz_nn", 0.05)
+          + dyn.build_perturbation(lat, "break_longitudinal_random", 0.05, seed=7))
+    rng = np.random.default_rng(6)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi0 = enc.logical_state(block, amps / np.linalg.norm(amps))
+    times = np.linspace(0.0, 20.0, 6)
+    series = dyn.coherence_experiment(block, op, times, tol=1e-10, initial=psi0)
+    assert series.counters.chebyshev_order == 0
+    assert 2 <= series.counters.probe_dim <= 4
+    _series_against_expm_multiply(block, op, psi0, 20.0, 6, series)
+
+
+def test_spectral_interval_contains_ritz_values(lat):
+    # extremal Ritz values of a 40-step Lanczos run lie inside the spectrum
+    op = dyn.build_czp_strong(lat, J=1.0) + dyn.build_perturbation(
+        lat, "sym_transverse", 0.05)
+    c, a = dyn._spectral_interval(op.matrix)
+    rng = np.random.default_rng(2)
+    v = rng.normal(size=1 << lat.n_sites)
+    V = [v / np.linalg.norm(v)]
+    alphas, betas = [], []
+    for j in range(40):
+        w = op.matrix @ V[j]
+        alphas.append(V[j] @ w)
+        for _ in range(2):
+            for u in V:
+                w -= (u @ w) * u
+        betas.append(np.linalg.norm(w))
+        V.append(w / betas[-1])
+    T = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+    ritz = np.linalg.eigvalsh(T)
+    assert c - a <= ritz[0] and ritz[-1] <= c + a
