@@ -5,7 +5,8 @@ gate report.  All randomness flows from --seed, and identical invocations
 produce byte-identical output: numpy scalars are converted to plain Python
 values and floats serialize via their exact shortest round-trip
 representation (up to 17 significant digits).  Exit codes: 0 success,
-1 acceptance failure, 2 usage error.
+1 acceptance failure, 2 usage error; input the library rejects (ValueError
+or IndexError) also exits 2, with one JSON error line on stderr.
 """
 
 import argparse
@@ -53,6 +54,15 @@ def _emit(report, out):
         sys.stdout.write(text)
 
 
+def _block(args):
+    """The lattice of --L and its logical block number --block."""
+    lat = build_lattice(args.L)
+    blocks = enc.enumerate_blocks(lat)
+    if not 0 <= args.block < len(blocks):
+        raise ValueError(f"--block must lie in [0, {len(blocks)}), got {args.block}")
+    return lat, blocks[args.block]
+
+
 def _cmd_frozen_count(args):
     report = {"schema": 1, "L": args.L}
     if args.method in ("brute", "both"):
@@ -76,7 +86,7 @@ def _cmd_krylov(args):
     report = {
         "schema": 1,
         "L": args.L,
-        "method": "union_find",
+        "method": "connected_components",
         "n_sectors": len(sectors),
         "total_members": sum(s.size for s in sectors),
         "count_unflippable": n_unflippable,
@@ -203,9 +213,7 @@ def _gate_lines_rz(lat, block, phi):
 
 
 def _cmd_gates_demo(args):
-    lat = build_lattice(args.L)
-    blocks = enc.enumerate_blocks(lat)
-    block = blocks[args.block]
+    lat, block = _block(args)
     if args.gate == "cnot":
         reports = _gate_lines_cnot(lat, block)
     elif args.gate == "rx":
@@ -224,9 +232,9 @@ def _cmd_gates_demo(args):
 
 
 def _cmd_syndrome_demo(args):
-    lat = build_lattice(args.L)
-    blocks = enc.enumerate_blocks(lat)
-    block = blocks[args.block]
+    lat, block = _block(args)
+    if args.site is not None and not 0 <= args.site < lat.n_sites:
+        raise ValueError(f"--site must lie in [0, {lat.n_sites}), got {args.site}")
     sites = [args.site] if args.site is not None else list(range(lat.n_sites))
     paulis = [args.pauli] if args.pauli else ["X", "Z"]
     reports = {}
@@ -239,9 +247,7 @@ def _cmd_syndrome_demo(args):
 
 
 def _cmd_evolve(args):
-    lat = build_lattice(args.L)
-    blocks = enc.enumerate_blocks(lat)
-    block = blocks[args.block]
+    lat, block = _block(args)
     if args.hamiltonian == "heff":
         H = dyn.build_heff(lat, h=args.h)
     elif args.hamiltonian == "czp_strong":
@@ -377,7 +383,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, IndexError) as exc:
+        error = {"schema": 1, "error": type(exc).__name__, "message": str(exc)}
+        sys.stderr.write(json.dumps(error) + "\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -81,6 +81,16 @@ def is_code_state(cfg, lat):
 # vectorized kernels over arrays of packed configurations
 
 
+def config_range(n_sites, start=0, stop=None):
+    """Packed configurations start, ..., stop - 1 (default: all 2^n_sites).
+
+    The dtype is uint32 up to 32 sites and uint64 above, wide enough for
+    every kernel below.
+    """
+    stop = 1 << n_sites if stop is None else stop
+    return np.arange(start, stop, dtype=np.uint32 if n_sites <= 32 else np.uint64)
+
+
 def flippable_mask(cfgs, lat, i):
     """Boolean mask over cfgs: site i flippable (4 neighbor bits equal)."""
     j0, j1, j2, j3 = (int(j) for j in lat.neighbors[i])

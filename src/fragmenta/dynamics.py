@@ -42,6 +42,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import config as cfgmod
 from .encoding import logical_state, logical_tomography
+from .fragmentation import move_graph
 
 PERTURBATION_KINDS = (
     "sym_transverse",
@@ -57,10 +58,9 @@ _BREAKDOWN_TOL = 1e-13   # happy breakdown: residual below this times max(1, |al
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """CSR operator on the packed basis with a hermiticity tag."""
+    """CSR operator on the packed basis."""
 
     matrix: sp.csr_matrix
-    hermitian: bool = False
 
     @property
     def dimension(self):
@@ -70,10 +70,7 @@ class SparseOperator:
         return self.matrix @ vec
 
     def __add__(self, other):
-        return SparseOperator(
-            matrix=(self.matrix + other.matrix).tocsr(),
-            hermitian=self.hermitian and other.hermitian,
-        )
+        return SparseOperator(matrix=(self.matrix + other.matrix).tocsr())
 
 
 def _check_size(lat):
@@ -83,46 +80,38 @@ def _check_size(lat):
         )
 
 
-def _all_cfgs(lat):
-    return np.arange(1 << lat.n_sites, dtype=np.uint32)
+def _single_flips(lat, cfgs, value):
+    """COO parts (data, rows, cols) of value * sum_i X_i, one block per site."""
+    n = lat.n_sites
+    data = [np.full(len(cfgs), value, dtype=np.float64)] * n
+    rows = [cfgs.astype(np.int64)] * n
+    cols = [(cfgs ^ np.uint32(1 << i)).astype(np.int64) for i in range(n)]
+    return data, rows, cols
+
+
+def _csr(data, rows, cols, dim):
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
 
 
 def build_heff(lat, h=1.0):
     """Constrained flip model: -h between pairs related by a legal flip."""
-    _check_size(lat)
-    cfgs = _all_cfgs(lat)
-    rows = []
-    cols = []
-    for i in range(lat.n_sites):
-        src = cfgs[cfgmod.flippable_mask(cfgs, lat, i)]
-        rows.append(src.astype(np.int64))
-        cols.append((src ^ np.uint32(1 << i)).astype(np.int64))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.full(len(rows), -h, dtype=np.float64)
-    dim = 1 << lat.n_sites
-    matrix = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-    return SparseOperator(matrix=matrix, hermitian=True)
+    matrix = move_graph(lat)
+    matrix.data *= -h  # in place: a scaled copy (-h * graph) doubled later page faults
+    return SparseOperator(matrix=matrix)
 
 
 def build_hczp(lat, J=1.0, h=1.0):
     """Unconstrained plaquette model: -J sum_p CZ_p - h sum_i X_i."""
     _check_size(lat)
-    cfgs = _all_cfgs(lat)
-    dim = 1 << lat.n_sites
+    cfgs = cfgmod.config_range(lat.n_sites)
+    dim = len(cfgs)
     diag = -J * cfgmod.cz_signs(cfgs, lat).sum(axis=1).astype(np.float64)
-    rows = [np.arange(dim, dtype=np.int64)]
-    cols = [np.arange(dim, dtype=np.int64)]
-    data = [diag]
-    for i in range(lat.n_sites):
-        rows.append(cfgs.astype(np.int64))
-        cols.append((cfgs ^ np.uint32(1 << i)).astype(np.int64))
-        data.append(np.full(dim, -h, dtype=np.float64))
-    matrix = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    return SparseOperator(matrix=matrix, hermitian=True)
+    data, rows, cols = _single_flips(lat, cfgs, -h)
+    idx = np.arange(dim, dtype=np.int64)
+    return SparseOperator(matrix=_csr([diag] + data, [idx] + rows, [idx] + cols, dim))
 
 
 def build_czp_strong(lat, J=1.0, h=1.0):
@@ -162,29 +151,23 @@ def build_perturbation(lat, kind, lam, seed=0):
     both sublattice toggles exactly, the break_ kinds must not.
     """
     _check_size(lat)
-    cfgs = _all_cfgs(lat)
-    dim = 1 << lat.n_sites
+    cfgs = cfgmod.config_range(lat.n_sites)
+    dim = len(cfgs)
 
     if kind == "sym_transverse":
-        rows, cols = [], []
-        for i in range(lat.n_sites):
-            rows.append(cfgs.astype(np.int64))
-            cols.append((cfgs ^ np.uint32(1 << i)).astype(np.int64))
-        matrix = sp.csr_matrix(
-            (
-                np.full(dim * lat.n_sites, lam, dtype=np.float64),
-                (np.concatenate(rows), np.concatenate(cols)),
-            ),
-            shape=(dim, dim),
-        )
-    elif kind == "sym_zz_nnn":
-        # next-nearest (diagonal) pairs stay on one sublattice; two per site
+        matrix = _csr(*_single_flips(lat, cfgs, lam), dim)
+    elif kind in ("sym_zz_nnn", "break_zz_nn"):
+        # next-nearest (diagonal) pairs stay on one sublattice, nearest pairs
+        # join A to B; two pairs per site either way
+        if kind == "sym_zz_nnn":
+            offsets = ((1, 1), (1, -1))
+        else:
+            offsets = ((1, 0), (0, 1))
         diag = np.zeros(dim, dtype=np.float64)
-        L = lat.L
         for i in range(lat.n_sites):
-            x, y = i % L, i // L
-            for dx, dy in ((1, 1), (1, -1)):
-                j = ((y + dy) % L) * L + (x + dx) % L
+            x, y = lat.site_xy(i)
+            for dx, dy in offsets:
+                j = lat.site_index(x + dx, y + dy)
                 diag += _z_values(cfgs, i) * _z_values(cfgs, j)
         matrix = _diagonal_operator(lam * diag)
     elif kind == "break_longitudinal_random":
@@ -193,15 +176,6 @@ def build_perturbation(lat, kind, lam, seed=0):
         diag = np.zeros(dim, dtype=np.float64)
         for i in range(lat.n_sites):
             diag += signs[i] * _z_values(cfgs, i)
-        matrix = _diagonal_operator(lam * diag)
-    elif kind == "break_zz_nn":
-        diag = np.zeros(dim, dtype=np.float64)
-        L = lat.L
-        for i in range(lat.n_sites):
-            x, y = i % L, i // L
-            for dx, dy in ((1, 0), (0, 1)):
-                j = ((y + dy) % L) * L + (x + dx) % L
-                diag += _z_values(cfgs, i) * _z_values(cfgs, j)
         matrix = _diagonal_operator(lam * diag)
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
@@ -213,7 +187,7 @@ def build_perturbation(lat, kind, lam, seed=0):
         raise AssertionError(
             f"perturbation {kind} symmetry check failed (symmetric={symmetric})"
         )
-    return SparseOperator(matrix=matrix, hermitian=True)
+    return SparseOperator(matrix=matrix)
 
 
 # ---------------------------------------------------------------------------

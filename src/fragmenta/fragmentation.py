@@ -11,8 +11,8 @@ Three independent routes are provided and cross-checked by the tests:
 * enumerate_frozen: vectorized brute-force scan of all 2^(L^2) configurations
   counting unflippable states and code states (unflippable with zero
   intersections), compared against the closed-form count 2^(L+2) - 8.
-* krylov_decompose: full connected-component decomposition by union-find
-  over packed indices.
+* krylov_decompose: connected components of the move graph (move_graph),
+  the same sparse adjacency that dynamics.build_heff scales by -h.
 * count_code_states_transfer: row transfer method that scales to L = 10.
   A transfer state is an ordered pair of adjacent rows that is "clean"
   (no plaquette between the rows has CZ = -1); a transition (a,b) -> (b,c)
@@ -23,9 +23,7 @@ Three independent routes are provided and cross-checked by the tests:
   which every site row and every plaquette row has been checked once.
 """
 
-import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +37,6 @@ FORMULA_OFFSET = 8  # closed-form code-state count is 2^(L+2) - 8
 
 def formula_count(L):
     return 2 ** (L + 2) - FORMULA_OFFSET
-
-
-def _worker_count():
-    env = os.environ.get("FRAGMENTA_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -82,27 +73,16 @@ class EnumerationReport:
         }
 
 
-def _all_configs(L, chunk=None):
-    """Yield numpy ranges covering all 2^(L^2) configurations."""
-    n_bits = L * L
-    total = 1 << n_bits
-    dtype = np.uint32 if n_bits <= 32 else np.uint64
-    if chunk is None:
-        chunk = total if n_bits <= 28 else 1 << 22
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        yield np.arange(start, stop, dtype=dtype)
-        start = stop
-
-
 def enumerate_frozen(lat: Lattice) -> EnumerationReport:
     """Brute-force scan: count unflippable states and code states."""
     if lat.n_sites > 36:
         raise ValueError("brute-force enumeration is capped at L*L <= 36")
     n_unflippable = 0
     n_code = 0
-    for cfgs in _all_configs(lat.L):
+    total = 1 << lat.n_sites
+    chunk = total if lat.n_sites <= 28 else 1 << 22
+    for start in range(0, total, chunk):
+        cfgs = cfgmod.config_range(lat.n_sites, start, start + chunk)
         frozen = cfgmod.frozen_mask(cfgs, lat)
         n_unflippable += int(np.count_nonzero(frozen))
         if frozen.any():
@@ -124,57 +104,38 @@ def code_states(lat: Lattice) -> np.ndarray:
     """Sorted array of all code states (unflippable, zero intersections)."""
     if lat.n_sites > 28:
         raise ValueError("exhaustive code-state listing is capped at L*L <= 28")
-    out = []
-    for cfgs in _all_configs(lat.L):
-        frozen = cfgmod.frozen_mask(cfgs, lat)
-        cand = cfgs[frozen]
-        nint = cfgmod.intersection_counts(cand, lat)
-        out.append(cand[nint == 0])
-    return np.sort(np.concatenate(out)).astype(np.int64)
+    cfgs = cfgmod.config_range(lat.n_sites)
+    cand = cfgs[cfgmod.frozen_mask(cfgs, lat)]
+    nint = cfgmod.intersection_counts(cand, lat)
+    return cand[nint == 0].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
-# full decomposition by union-find over packed indices
+# full decomposition: connected components of the move graph
 
 
-class UnionFind:
-    """Array-backed disjoint sets with path halving and union by size."""
+def move_graph(lat: Lattice) -> sp.csr_matrix:
+    """Unit-weight CSR adjacency of legal flips on the packed basis.
 
-    def __init__(self, n):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def roots(self):
-        """Fully compressed root of every element (vectorized)."""
-        parent = self.parent
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                return parent
-            parent = grand
-
-
-def _move_edges(lat, site, cfgs):
-    """Packed edge endpoints (cfg, cfg^bit) for legal flips of one site."""
-    mask = cfgmod.flippable_mask(cfgs, lat, site)
-    src = cfgs[mask]
-    return src, src ^ np.uint32(1 << site)
+    Row cfg holds 1.0 at column cfg ^ (1 << i) for every site i that
+    flippable_mask allows in cfg.  The reverse flip is legal too (the
+    neighbors of i are unchanged), so the matrix is symmetric.
+    """
+    if lat.n_sites > 24:
+        raise ValueError("the move graph is capped at L*L <= 24")
+    cfgs = cfgmod.config_range(lat.n_sites)
+    rows = []
+    cols = []
+    for i in range(lat.n_sites):
+        src = cfgs[cfgmod.flippable_mask(cfgs, lat, i)]
+        rows.append(src.astype(np.int64))
+        cols.append((src ^ np.uint32(1 << i)).astype(np.int64))
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    dim = len(cfgs)
+    return sp.csr_matrix(
+        (np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(dim, dim)
+    )
 
 
 def krylov_decompose(lat: Lattice):
@@ -183,49 +144,27 @@ def krylov_decompose(lat: Lattice):
     Returns the sectors sorted by canonical representative, so repeated runs
     produce byte-identical output.
     """
-    if lat.n_sites > 24:
-        raise ValueError("full decomposition is capped at L*L <= 24")
-    n = 1 << lat.n_sites
-    cfgs = np.arange(n, dtype=np.uint32)
+    from scipy.sparse.csgraph import connected_components
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        edge_lists = list(
-            pool.map(lambda i: _move_edges(lat, i, cfgs), range(lat.n_sites))
+    n_sectors, labels = connected_components(move_graph(lat), directed=False)
+    n = len(labels)
+    reps = np.full(n_sectors, n, dtype=np.int64)
+    np.minimum.at(reps, labels, np.arange(n, dtype=np.int64))
+    sizes = np.bincount(labels, minlength=n_sectors)
+    order = np.argsort(reps)
+    reps = reps[order]
+    sizes = sizes[order]
+
+    syndromes = cfgmod.cz_signs(reps.astype(np.uint32), lat)
+    return [
+        KrylovSector(
+            representative=rep,
+            size=size,
+            syndrome=tuple(row.tolist()),
+            is_frozen_sector=(size == 1),
         )
-
-    uf = UnionFind(n)
-    union = uf.union
-    for src, dst in edge_lists:
-        # each undirected edge appears twice (the reverse flip is also legal);
-        # only process the ascending direction
-        keep = src < dst
-        for a, b in zip(src[keep].tolist(), dst[keep].tolist()):
-            union(a, b)
-
-    roots = uf.roots()
-    reps = np.full(n, n, dtype=np.int64)
-    np.minimum.at(reps, roots, np.arange(n, dtype=np.int64))
-    sizes = np.bincount(roots, minlength=n)
-
-    sector_roots = np.nonzero(sizes)[0]
-    order = np.argsort(reps[sector_roots])
-    sector_roots = sector_roots[order]
-
-    rep_cfgs = reps[sector_roots]
-    syndromes = cfgmod.cz_signs(rep_cfgs.astype(np.uint32), lat)
-
-    sectors = []
-    for k, root in enumerate(sector_roots):
-        size = int(sizes[root])
-        sectors.append(
-            KrylovSector(
-                representative=int(rep_cfgs[k]),
-                size=size,
-                syndrome=tuple(int(s) for s in syndromes[k]),
-                is_frozen_sector=(size == 1),
-            )
-        )
-    return sectors
+        for rep, size, row in zip(reps.tolist(), sizes.tolist(), syndromes)
+    ]
 
 
 def sector_of(cfg, lat, size_cap=1 << 22):
@@ -313,9 +252,6 @@ def count_code_states_transfer(L):
         raise ValueError("transfer counting requires even L with 4 <= L <= 10")
     a, b = _clean_row_pairs(L)
     n_states = len(a)
-    index = {}
-    for k in range(n_states):
-        index[(int(a[k]), int(b[k]))] = k
 
     # group clean pairs by their first row for transition generation
     by_first = {}

@@ -125,6 +125,24 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("krylov", "--L", "5"),
+    ("blocks", "--L", "6"),
+    ("gates-demo", "--block", "99"),
+    ("gates-demo", "--block", "-1"),
+    ("syndrome-demo", "--block", "99"),
+    ("syndrome-demo", "--site", "16"),
+    ("evolve", "--block", "99"),
+])
+def test_input_error_exit_code(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "ValueError"
+
+
 def test_identical_invocations_identical_bytes(capsys):
     _, first = run_cli(capsys, "krylov", "--L", "4")
     _, second = run_cli(capsys, "krylov", "--L", "4")

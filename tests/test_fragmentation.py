@@ -250,12 +250,18 @@ def test_decomposition_deterministic(lat, sectors):
     ]
 
 
-def test_worker_count_env_does_not_change_output(lat, sectors, monkeypatch):
-    monkeypatch.setenv("FRAGMENTA_THREADS", "2")
-    again = fr.krylov_decompose(lat)
-    assert [(s.representative, s.size) for s in again] == [
-        (s.representative, s.size) for s in sectors
-    ]
+def test_move_graph_rows_match_scalar_predicate(lat):
+    adj = fr.move_graph(lat)
+    assert (adj != adj.T).nnz == 0
+    assert np.all(adj.data == 1.0)
+    rng = np.random.default_rng(0)
+    for c in rng.integers(0, 1 << lat.n_sites, size=300).tolist():
+        row = adj.indices[adj.indptr[c]:adj.indptr[c + 1]].tolist()
+        expected = {
+            c ^ (1 << i) for i in range(lat.n_sites) if cm.is_flippable(c, lat, i)
+        }
+        assert len(row) == len(expected)
+        assert set(row) == expected
 
 
 def test_union_find_decomposition_matches_bfs_oracle(lat, sectors):
