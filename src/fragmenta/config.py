@@ -81,14 +81,19 @@ def is_code_state(cfg, lat):
 # vectorized kernels over arrays of packed configurations
 
 
-def config_range(n_sites, start=0, stop=None):
-    """Packed configurations start, ..., stop - 1 (default: all 2^n_sites).
+FULL_SPACE_SITE_CAP = 24  # dense vectors of 2^24 amplitudes at most
 
-    The dtype is uint32 up to 32 sites and uint64 above, wide enough for
-    every kernel below.
+
+def config_range(n_sites):
+    """All 2^n_sites packed configurations, as uint32.
+
+    The one full-space size cap: every brute-force scan, the move graph and
+    every Hamiltonian start here, so all of them fail above it.
     """
-    stop = 1 << n_sites if stop is None else stop
-    return np.arange(start, stop, dtype=np.uint32 if n_sites <= 32 else np.uint64)
+    if n_sites > FULL_SPACE_SITE_CAP:
+        raise ValueError(f"the full configuration space is capped at "
+                         f"{FULL_SPACE_SITE_CAP} sites, got {n_sites}")
+    return np.arange(1 << n_sites, dtype=np.uint32)
 
 
 def flippable_mask(cfgs, lat, i):

@@ -51,7 +51,6 @@ PERTURBATION_KINDS = (
     "break_zz_nn",
 )
 
-_DYNAMICS_SITE_CAP = 24  # dense vectors of 2^24 amplitudes at most
 _PROBE_DIM = 6           # Lanczos vectors the invariant-subspace probe may build
 _BREAKDOWN_TOL = 1e-13   # happy breakdown: residual below this times max(1, |alpha|)
 
@@ -71,13 +70,6 @@ class SparseOperator:
 
     def __add__(self, other):
         return SparseOperator(matrix=(self.matrix + other.matrix).tocsr())
-
-
-def _check_size(lat):
-    if lat.n_sites > _DYNAMICS_SITE_CAP:
-        raise ValueError(
-            f"dynamics is capped at {_DYNAMICS_SITE_CAP} sites, got {lat.n_sites}"
-        )
 
 
 def _single_flips(lat, cfgs, value):
@@ -103,12 +95,16 @@ def build_heff(lat, h=1.0):
     return SparseOperator(matrix=matrix)
 
 
+def _plaquette_energy(lat, cfgs, J):
+    """Diagonal of -J sum_p CZ_p over cfgs."""
+    return -J * cfgmod.cz_signs(cfgs, lat).sum(axis=1).astype(np.float64)
+
+
 def build_hczp(lat, J=1.0, h=1.0):
     """Unconstrained plaquette model: -J sum_p CZ_p - h sum_i X_i."""
-    _check_size(lat)
     cfgs = cfgmod.config_range(lat.n_sites)
     dim = len(cfgs)
-    diag = -J * cfgmod.cz_signs(cfgs, lat).sum(axis=1).astype(np.float64)
+    diag = _plaquette_energy(lat, cfgs, J)
     data, rows, cols = _single_flips(lat, cfgs, -h)
     idx = np.arange(dim, dtype=np.int64)
     return SparseOperator(matrix=_csr([diag] + data, [idx] + rows, [idx] + cols, dim))
@@ -116,7 +112,8 @@ def build_hczp(lat, J=1.0, h=1.0):
 
 def build_czp_strong(lat, J=1.0, h=1.0):
     """CZ_p model at strong coupling: heff's flips plus -J sum_p CZ_p."""
-    return build_heff(lat, h=h) + build_hczp(lat, J=J, h=0.0)
+    energy = _plaquette_energy(lat, cfgmod.config_range(lat.n_sites), J)
+    return build_heff(lat, h=h) + SparseOperator(matrix=_diagonal_operator(energy))
 
 
 def _z_values(cfgs, site):
@@ -124,11 +121,8 @@ def _z_values(cfgs, site):
 
 
 def _diagonal_operator(diag):
-    dim = len(diag)
-    return sp.csr_matrix(
-        (diag, (np.arange(dim, dtype=np.int64), np.arange(dim, dtype=np.int64))),
-        shape=(dim, dim),
-    )
+    idx = np.arange(len(diag), dtype=np.int64)
+    return _csr([diag], [idx], [idx], len(diag))
 
 
 def _conjugate_by_xor(matrix, xor_mask, dim):
@@ -147,36 +141,32 @@ def _commutes_with_toggle(matrix, xor_mask, dim):
 def build_perturbation(lat, kind, lam, seed=0):
     """One of the four perturbation kinds, scaled by lam.
 
-    Symmetry is verified at build time: the sym_ kinds must commute with
-    both sublattice toggles exactly, the break_ kinds must not.
+    Symmetry is verified at build time, on the unit-strength operator so
+    that lam = 0 passes too: the sym_ kinds must commute with both
+    sublattice toggles exactly, the break_ kinds must not.
     """
-    _check_size(lat)
     cfgs = cfgmod.config_range(lat.n_sites)
     dim = len(cfgs)
 
     if kind == "sym_transverse":
-        matrix = _csr(*_single_flips(lat, cfgs, lam), dim)
-    elif kind in ("sym_zz_nnn", "break_zz_nn"):
-        # next-nearest (diagonal) pairs stay on one sublattice, nearest pairs
-        # join A to B; two pairs per site either way
-        if kind == "sym_zz_nnn":
-            offsets = ((1, 1), (1, -1))
+        matrix = _csr(*_single_flips(lat, cfgs, 1.0), dim)
+    elif kind in PERTURBATION_KINDS:
+        diag = np.zeros(dim, dtype=np.float64)
+        if kind == "break_longitudinal_random":
+            rng = np.random.default_rng(seed)
+            signs = rng.choice(np.array([-1.0, 1.0]), size=lat.n_sites)
+            for i in range(lat.n_sites):
+                diag += signs[i] * _z_values(cfgs, i)
         else:
-            offsets = ((1, 0), (0, 1))
-        diag = np.zeros(dim, dtype=np.float64)
-        for i in range(lat.n_sites):
-            x, y = lat.site_xy(i)
-            for dx, dy in offsets:
-                j = lat.site_index(x + dx, y + dy)
-                diag += _z_values(cfgs, i) * _z_values(cfgs, j)
-        matrix = _diagonal_operator(lam * diag)
-    elif kind == "break_longitudinal_random":
-        rng = np.random.default_rng(seed)
-        signs = rng.choice(np.array([-1.0, 1.0]), size=lat.n_sites)
-        diag = np.zeros(dim, dtype=np.float64)
-        for i in range(lat.n_sites):
-            diag += signs[i] * _z_values(cfgs, i)
-        matrix = _diagonal_operator(lam * diag)
+            # next-nearest (diagonal) pairs stay on one sublattice, nearest
+            # pairs join A to B; two pairs per site either way
+            offsets = ((1, 1), (1, -1)) if kind == "sym_zz_nnn" else ((1, 0), (0, 1))
+            for i in range(lat.n_sites):
+                x, y = lat.site_xy(i)
+                for dx, dy in offsets:
+                    j = lat.site_index(x + dx, y + dy)
+                    diag += _z_values(cfgs, i) * _z_values(cfgs, j)
+        matrix = _diagonal_operator(diag)
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
 
@@ -187,6 +177,7 @@ def build_perturbation(lat, kind, lam, seed=0):
         raise AssertionError(
             f"perturbation {kind} symmetry check failed (symmetric={symmetric})"
         )
+    matrix.data *= lam  # after the check, which a zero operator would fail
     return SparseOperator(matrix=matrix)
 
 

@@ -11,6 +11,7 @@ Three independent routes are provided and cross-checked by the tests:
 * enumerate_frozen: vectorized brute-force scan of all 2^(L^2) configurations
   counting unflippable states and code states (unflippable with zero
   intersections), compared against the closed-form count 2^(L+2) - 8.
+  code_states lists the code states of the same scan.
 * krylov_decompose: connected components of the move graph (move_graph),
   the same sparse adjacency that dynamics.build_heff scales by -h.
 * count_code_states_transfer: row transfer method that scales to L = 10.
@@ -21,6 +22,9 @@ Three independent routes are provided and cross-checked by the tests:
   states is the trace of the L-fold transition composition: each closed
   walk of the pair chain corresponds to exactly one torus configuration in
   which every site row and every plaquette row has been checked once.
+
+The first two build the full space and stop at config.config_range's cap
+(24 sites, so L = 4; L = 6 fails at once); sector_of has its own size_cap.
 """
 
 from collections import deque
@@ -73,41 +77,36 @@ class EnumerationReport:
         }
 
 
-def enumerate_frozen(lat: Lattice) -> EnumerationReport:
-    """Brute-force scan: count unflippable states and code states."""
-    if lat.n_sites > 36:
-        raise ValueError("brute-force enumeration is capped at L*L <= 36")
-    n_unflippable = 0
-    n_code = 0
-    total = 1 << lat.n_sites
-    chunk = total if lat.n_sites <= 28 else 1 << 22
-    for start in range(0, total, chunk):
-        cfgs = cfgmod.config_range(lat.n_sites, start, start + chunk)
-        frozen = cfgmod.frozen_mask(cfgs, lat)
-        n_unflippable += int(np.count_nonzero(frozen))
-        if frozen.any():
-            nint = cfgmod.intersection_counts(cfgs[frozen], lat)
-            n_code += int(np.count_nonzero(nint == 0))
-    formula = formula_count(lat.L)
+def _report(L, method, n_code, n_unflippable=None):
+    """EnumerationReport of the counts against the closed form at L."""
+    formula = formula_count(L)
     return EnumerationReport(
-        L=lat.L,
-        method="brute_force",
+        L=L,
+        method=method,
         count_unflippable=n_unflippable,
         count_code_states=n_code,
         formula_value=formula,
-        matches_unflippable=(n_unflippable == formula),
+        matches_unflippable=None if n_unflippable is None else n_unflippable == formula,
         matches_code_states=(n_code == formula),
     )
 
 
+def _frozen_scan(lat):
+    """The unflippable configurations, then the code states among them."""
+    cfgs = cfgmod.config_range(lat.n_sites)
+    frozen = cfgs[cfgmod.frozen_mask(cfgs, lat)]
+    return frozen, frozen[cfgmod.intersection_counts(frozen, lat) == 0]
+
+
+def enumerate_frozen(lat: Lattice) -> EnumerationReport:
+    """Brute-force scan: count unflippable states and code states."""
+    frozen, code = _frozen_scan(lat)
+    return _report(lat.L, "brute_force", len(code), len(frozen))
+
+
 def code_states(lat: Lattice) -> np.ndarray:
     """Sorted array of all code states (unflippable, zero intersections)."""
-    if lat.n_sites > 28:
-        raise ValueError("exhaustive code-state listing is capped at L*L <= 28")
-    cfgs = cfgmod.config_range(lat.n_sites)
-    cand = cfgs[cfgmod.frozen_mask(cfgs, lat)]
-    nint = cfgmod.intersection_counts(cand, lat)
-    return cand[nint == 0].astype(np.int64)
+    return _frozen_scan(lat)[1].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +120,6 @@ def move_graph(lat: Lattice) -> sp.csr_matrix:
     flippable_mask allows in cfg.  The reverse flip is legal too (the
     neighbors of i are unchanged), so the matrix is symmetric.
     """
-    if lat.n_sites > 24:
-        raise ValueError("the move graph is capped at L*L <= 24")
     cfgs = cfgmod.config_range(lat.n_sites)
     rows = []
     cols = []
@@ -285,14 +282,4 @@ def count_code_states_transfer(L):
 
 
 def transfer_report(L):
-    count = count_code_states_transfer(L)
-    formula = formula_count(L)
-    return EnumerationReport(
-        L=L,
-        method="transfer_matrix",
-        count_unflippable=None,
-        count_code_states=count,
-        formula_value=formula,
-        matches_unflippable=None,
-        matches_code_states=(count == formula),
-    )
+    return _report(L, "transfer_matrix", count_code_states_transfer(L))

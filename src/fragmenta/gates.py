@@ -40,23 +40,21 @@ def _rotate_x_site(psi, site, cos_half, sin_half):
     hi += (-1j * sin_half) * tmp
 
 
-def _sublattice_sites(lat, sublattice):
+def _sublattice(lat, sublattice):
+    """(sites, bit mask) of sublattice 'A' or 'B'; ValueError otherwise."""
     if sublattice == "A":
-        return lat.a_sites
+        return lat.a_sites, lat.mask_a
     if sublattice == "B":
-        return lat.b_sites
+        return lat.b_sites, lat.mask_b
     raise ValueError(f"sublattice must be 'A' or 'B', got {sublattice!r}")
-
-
-def _sublattice_mask(lat, sublattice):
-    return lat.mask_a if sublattice == "A" else lat.mask_b
 
 
 def apply_rx(state, lat, sublattice, theta):
     """Product of exp(-i theta/2 X_j) over all sites of one sublattice."""
     psi = np.array(state, dtype=complex, copy=True)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    for site in _sublattice_sites(lat, sublattice):
+    sites, _ = _sublattice(lat, sublattice)
+    for site in sites:
         _rotate_x_site(psi, int(site), c, s)
     return psi
 
@@ -70,7 +68,7 @@ def apply_rz(state, block, sublattice, phi):
     leak.
     """
     lat = block.lattice
-    mask = _sublattice_mask(lat, sublattice)
+    _, mask = _sublattice(lat, sublattice)
     n_s = lat.n_sublattice
     dim = block.dimension
     idx = np.arange(dim, dtype=np.uint64)

@@ -133,6 +133,8 @@ def test_usage_error_exit_code():
     ("syndrome-demo", "--block", "99"),
     ("syndrome-demo", "--site", "16"),
     ("evolve", "--block", "99"),
+    ("frozen-count", "--L", "6", "--method", "brute"),
+    ("frozen-count", "--L", "6"),
 ])
 def test_input_error_exit_code(capsys, argv):
     code = main(list(argv))
@@ -141,6 +143,14 @@ def test_input_error_exit_code(capsys, argv):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert json.loads(line)["error"] == "ValueError"
+
+
+def test_evolve_breaking_perturbation_at_zero_lambda(capsys):
+    code, out = run_cli(capsys, "evolve", "--perturbation", "break_zz_nn",
+                        "--lambda", "0")
+    assert code == 0
+    _, bare = run_cli(capsys, "evolve", "--perturbation", "none")
+    assert json.loads(out)["series"] == json.loads(bare)["series"]
 
 
 def test_identical_invocations_identical_bytes(capsys):

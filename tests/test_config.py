@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fragmenta import config as cm
 from fragmenta.lattice import build_lattice
@@ -190,6 +192,41 @@ def test_scalar_vectorized_agreement(lat):
             assert cm.is_flippable(cfg, lat, i) == bool(
                 cm.flippable_mask(np.array([cfg], dtype=np.uint32), lat, i)[0]
             )
+
+
+@pytest.mark.parametrize("L", (6, 8))
+def test_scalar_vectorized_agreement_uint64(L):
+    # above 32 sites (sector_of, syndromes) the kernels run on uint64
+    wide = build_lattice(L)
+    n = wide.n_sites
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(0, (1 << n) - 1))
+    @example(stripe_config(L))  # frozen
+    @example((1 << n) - 1)      # all ones, top bit included
+    def check(cfg):
+        cfgs = np.array([cfg], dtype=np.uint64)
+        assert bool(cm.frozen_mask(cfgs, wide)[0]) == cm.is_frozen(cfg, wide)
+        for i in range(n):
+            assert bool(cm.flippable_mask(cfgs, wide, i)[0]) == \
+                cm.is_flippable(cfg, wide, i)
+        signs = cm.cz_signs(cfgs, wide)[0]
+        stabs = cm.stabilizer_signs(cfgs, wide)[0]
+        for p in range(wide.n_plaquettes):
+            assert signs[p] == cm.cz_plaquette(cfg, wide, p)
+            assert stabs[p] == cm.stabilizer_zp(cfg, wide, p)
+        assert cm.intersection_counts(cfgs, wide)[0] == cm.intersection_count(cfg, wide)
+
+    assert cm.is_frozen(stripe_config(L), wide)
+    check()
+
+
+def test_config_range_is_the_full_space_cap():
+    cfgs = cm.config_range(4)
+    assert cfgs.dtype == np.uint32
+    assert cfgs.tolist() == list(range(16))
+    with pytest.raises(ValueError):
+        cm.config_range(cm.FULL_SPACE_SITE_CAP + 1)
 
 
 def test_config_literal_round_trip(lat):

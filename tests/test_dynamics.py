@@ -104,6 +104,22 @@ def test_perturbation_symmetry_classes(lat, kind):
     assert symmetric == kind.startswith("sym_")
 
 
+@pytest.mark.parametrize("kind", dyn.PERTURBATION_KINDS)
+def test_perturbation_at_zero_lambda(lat, kind):
+    # the symmetry self-check runs at unit strength, so lam = 0 is legal
+    op = dyn.build_perturbation(lat, kind, 0.0, seed=7)
+    assert not np.any(op.matrix.data)
+
+
+def test_czp_strong_is_heff_plus_plaquette_energy(lat):
+    for J, h in ((1.0, 1.0), (0.5, 0.3), (0.0, 1.0), (2.0, -1.0)):
+        op = dyn.build_czp_strong(lat, J=J, h=h).matrix
+        ref = (dyn.build_heff(lat, h=h) + dyn.build_hczp(lat, J=J, h=0.0)).matrix
+        assert np.array_equal(op.indptr, ref.indptr)
+        assert np.array_equal(op.indices, ref.indices)
+        assert np.array_equal(op.data, ref.data)
+
+
 def test_unknown_perturbation_rejected(lat):
     with pytest.raises(ValueError):
         dyn.build_perturbation(lat, "nonsense", 0.1)
@@ -221,6 +237,11 @@ def test_size_guard():
     big = build_lattice(6)
     with pytest.raises(ValueError):
         dyn.build_heff(big)
+    for build in (dyn.build_hczp, dyn.build_czp_strong):
+        with pytest.raises(ValueError):
+            build(big)
+    with pytest.raises(ValueError):
+        dyn.build_perturbation(big, "sym_transverse", 0.05)
 
 
 def test_evolve_backward_returns_initial_state(lat, random_state):

@@ -241,6 +241,10 @@ def test_size_guards(lat):
         fr.krylov_decompose(big)
     with pytest.raises(ValueError):
         fr.code_states(big)
+    with pytest.raises(ValueError):
+        fr.enumerate_frozen(big)
+    with pytest.raises(ValueError):
+        fr.move_graph(big)
 
 
 def test_decomposition_deterministic(lat, sectors):

@@ -178,3 +178,11 @@ def test_gate_report_rx_half_pi_leakage(lat, block):
     out = gates.apply_rx(psi, lat, "A", np.pi / 2)
     rep = gates.gate_report(block, "rx", {"theta": np.pi / 2}, psi, out)
     assert rep.leakage == pytest.approx(1.0 - gates.rx_half_pi_population(8), abs=1e-10)
+
+
+def test_unknown_sublattice_rejected(lat, block):
+    psi = basis_state(block, 0)
+    with pytest.raises(ValueError):
+        gates.apply_rz(psi, block, "C", 0.3)
+    with pytest.raises(ValueError):
+        gates.apply_rx(psi, lat, "C", 0.3)
