@@ -45,8 +45,20 @@ def _canonical(obj):
     return obj
 
 
+def _finite_float(text):
+    """argparse type: a float that is neither nan nor infinite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _emit(report, out):
-    text = json.dumps(_canonical(report), indent=2) + "\n"
+    _write(json.dumps(_canonical(report), indent=2) + "\n", out)
+
+
+def _write(text, out):
+    """Text to the file out, or to stdout when out is None."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -78,10 +90,8 @@ def _cmd_krylov(args):
     lat = build_lattice(args.L)
     sectors = fr.krylov_decompose(lat)
     histogram = fr.sector_histogram(sectors)
-    n_unflippable = sum(1 for s in sectors if s.is_frozen_sector)
-    n_code = sum(
-        1 for s in sectors if s.is_frozen_sector and all(v == 1 for v in s.syndrome)
-    )
+    frozen = [s for s in sectors if s.is_frozen_sector]
+    n_code = sum(1 for s in frozen if all(v == 1 for v in s.syndrome))
     formula = fr.formula_count(args.L)
     report = {
         "schema": 1,
@@ -89,11 +99,11 @@ def _cmd_krylov(args):
         "method": "connected_components",
         "n_sectors": len(sectors),
         "total_members": sum(s.size for s in sectors),
-        "count_unflippable": n_unflippable,
+        "count_unflippable": len(frozen),
         "count_code_states": n_code,
         "formula_value": formula,
         "matches": {
-            "unflippable": n_unflippable == formula,
+            "unflippable": len(frozen) == formula,
             "code_states": n_code == formula,
         },
         "sector_histogram": [{"size": s, "count": c} for s, c in histogram],
@@ -105,13 +115,12 @@ def _cmd_krylov(args):
 def _cmd_blocks(args):
     lat = build_lattice(args.L)
     blocks = enc.enumerate_blocks(lat)
-    n_code, n_blocks, n_qubits = enc.qubit_count(lat)
     report = {
         "schema": 1,
         "L": args.L,
-        "count_code_states": n_code,
-        "n_blocks": n_blocks,
-        "n_logical_qubits": n_qubits,
+        "count_code_states": 4 * len(blocks),
+        "n_blocks": len(blocks),
+        "n_logical_qubits": 2 * len(blocks),
         "blocks": [
             {
                 "index": k,
@@ -162,7 +171,7 @@ def _gate_lines_cnot(lat, block):
                 expected=expected, input_label=f"|{sa}{sb}>",
             )
         )
-    probe = enc.logical_state(block, dyn.DEFAULT_PROBE)
+    probe = enc.logical_state(block, enc.DEFAULT_PROBE)
     bell = gates.apply_logical_cnot(probe, block)
     expected = enc.logical_state(
         block, (1 / np.sqrt(2), 0.0, 0.0, 1 / np.sqrt(2))
@@ -193,7 +202,7 @@ def _gate_lines_rx(lat, block, theta):
 
 
 def _gate_lines_rz(lat, block, phi):
-    probe = enc.logical_state(block, dyn.DEFAULT_PROBE)
+    probe = enc.logical_state(block, enc.DEFAULT_PROBE)
     out = gates.apply_rz(probe, block, "A", phi)
     expected = enc.logical_state(
         block,
@@ -223,11 +232,7 @@ def _cmd_gates_demo(args):
     lines = "".join(
         json.dumps({"schema": 1, **_canonical(r.to_dict())}) + "\n" for r in reports
     )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(lines)
-    else:
-        sys.stdout.write(lines)
+    _write(lines, args.out)
     return 0
 
 
@@ -336,8 +341,8 @@ def build_parser():
     common(p)
     p.add_argument("--block", type=int, default=0)
     p.add_argument("--gate", choices=("cnot", "rx", "rz"), default="cnot")
-    p.add_argument("--theta", type=float, default=np.pi)
-    p.add_argument("--phi", type=float, default=np.pi / 3)
+    p.add_argument("--theta", type=_finite_float, default=np.pi)
+    p.add_argument("--phi", type=_finite_float, default=np.pi / 3)
     p.set_defaults(func=_cmd_gates_demo)
 
     p = sub.add_parser("syndrome-demo", help="single-Pauli detection reports")
@@ -355,14 +360,14 @@ def build_parser():
         choices=("none",) + dyn.PERTURBATION_KINDS,
         default="none",
     )
-    p.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    p.add_argument("--J", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=1.0)
-    p.add_argument("--tmax", type=float, default=50.0)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=0.05)
+    p.add_argument("--J", type=_finite_float, default=1.0)
+    p.add_argument("--h", type=_finite_float, default=1.0)
+    p.add_argument("--tmax", type=_finite_float, default=50.0)
     p.add_argument("--steps", type=int, default=25)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--block", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.add_argument("--csv", type=str, default=None)
     p.set_defaults(func=_cmd_evolve)
 

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from . import config as cfgmod
-from .encoding import logical_state, logical_tomography
+from .encoding import DEFAULT_PROBE, logical_state, logical_tomography
 from .fragmentation import move_graph
 
 PERTURBATION_KINDS = (
@@ -186,8 +186,8 @@ def build_perturbation(lat, kind, lam, seed=0):
 
 
 def _check_tol(tol):
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
+    if not 1e-12 <= tol < np.inf:  # also rejects nan
+        raise ValueError("tol must be finite and >= 1e-12")
 
 
 def _krylov_probe(H, psi):
@@ -365,9 +365,6 @@ class CoherenceSeries:
                 float(self.population[k]),
                 float(self.fidelity[k]),
             )
-
-
-DEFAULT_PROBE = (1.0 / np.sqrt(2.0), 0.0, 1.0 / np.sqrt(2.0), 0.0)
 
 
 def coherence_experiment(block, op, times, tol=1e-10, initial=None):

@@ -108,13 +108,6 @@ def enumerate_blocks(lat):
     return blocks
 
 
-def qubit_count(lat):
-    """(number of code states, number of blocks, number of logical qubits)."""
-    n_code = len(code_states(lat))
-    n_blocks = n_code // 4
-    return n_code, n_blocks, n_code // 2
-
-
 def _two_qubit_matrix(kind_a, kind_b):
     return np.kron(_PAULI[kind_a], _PAULI[kind_b])
 
@@ -201,6 +194,10 @@ def verify_pauli_algebra(block):
             residuals[f"cross_{ka}A_{kb}B"] = _max_abs(a @ b - b @ a)
 
     return residuals
+
+
+# the +1 eigenstate of logical X_A: (|alpha;00> + |alpha;10>)/sqrt(2)
+DEFAULT_PROBE = (1.0 / np.sqrt(2.0), 0.0, 1.0 / np.sqrt(2.0), 0.0)
 
 
 def logical_state(block, amplitudes):

@@ -18,16 +18,17 @@ Three independent routes are provided and cross-checked by the tests:
   A transfer state is an ordered pair of adjacent rows that is "clean"
   (no plaquette between the rows has CZ = -1); a transition (a,b) -> (b,c)
   is admitted when every site of the middle row b is unflippable given its
-  in-row neighbors and the rows a below and c above.  The number of code
-  states is the trace of the L-fold transition composition: each closed
-  walk of the pair chain corresponds to exactly one torus configuration in
-  which every site row and every plaquette row has been checked once.
+  in-row neighbors and the rows a below and c above; T is built with one
+  broadcast per middle row b.  The number of code states is the
+  trace of the L-fold transition composition: each closed walk of the pair
+  chain is exactly one torus configuration in which every site row and
+  every plaquette row has been checked once.
 
 The first two build the full space and stop at config.config_range's cap
 (24 sites, so L = 4; L = 6 fails at once); sector_of has its own size_cap.
 """
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,23 +182,18 @@ def sector_of(cfg, lat, size_cap=1 << 22):
                     seen.add(nxt)
                     queue.append(nxt)
     rep = min(seen)
-    syndrome = tuple(
-        int(s) for s in cfgmod.cz_signs(np.array([rep], dtype=np.uint64), lat)[0]
-    )
+    signs = cfgmod.cz_signs(np.array([rep], dtype=np.uint64), lat)[0]
     return KrylovSector(
         representative=rep,
         size=len(seen),
-        syndrome=syndrome,
+        syndrome=tuple(signs.tolist()),
         is_frozen_sector=(len(seen) == 1),
     )
 
 
 def sector_histogram(sectors):
     """Sorted (size, count) pairs over a sector list."""
-    counts = {}
-    for s in sectors:
-        counts[s.size] = counts.get(s.size, 0) + 1
-    return sorted(counts.items())
+    return sorted(Counter(s.size for s in sectors).items())
 
 
 # ---------------------------------------------------------------------------
@@ -249,25 +245,21 @@ def count_code_states_transfer(L):
         raise ValueError("transfer counting requires even L with 4 <= L <= 10")
     a, b = _clean_row_pairs(L)
     n_states = len(a)
+    # pairs come sorted by first row, so those starting in row m are the run
+    # starts[m]:starts[m+1]; those ending in m are by_last[ends[m]:ends[m+1]]
+    row_values = np.arange((1 << L) + 1)
+    starts = np.searchsorted(a, row_values)
+    by_last = np.argsort(b, kind="stable")
+    ends = np.searchsorted(b[by_last], row_values)
 
-    # group clean pairs by their first row for transition generation
-    by_first = {}
-    for k in range(n_states):
-        by_first.setdefault(int(a[k]), []).append(k)
-
-    rows_i = []
-    cols_j = []
-    for k in range(n_states):
-        middle = int(b[k])
-        cand = by_first.get(middle)
-        if not cand:
-            continue
-        cand = np.asarray(cand, dtype=np.int64)
-        top = b[cand]
-        ok = _row_unflippable(np.int64(a[k]), np.int64(middle), top, L)
-        good = cand[ok]
-        rows_i.extend([k] * len(good))
-        cols_j.extend(good.tolist())
+    # transitions (x, m) -> (m, y): one broadcast per middle row m
+    hits = []
+    for m in range(1 << L):
+        into = by_last[ends[m]:ends[m + 1]]
+        above = b[starts[m]:starts[m + 1]]
+        i, j = np.nonzero(_row_unflippable(a[into, None], m, above, L))
+        hits.append((into[i], starts[m] + j))
+    rows_i, cols_j = (np.concatenate(h) for h in zip(*hits))
 
     T = sp.csr_matrix(
         (np.ones(len(rows_i), dtype=np.int64), (rows_i, cols_j)),
@@ -277,8 +269,7 @@ def count_code_states_transfer(L):
     P = T
     for _ in range(L // 2 - 1):
         P = P @ T
-    total = int(P.multiply(P.T).sum())
-    return total
+    return int(P.multiply(P.T).sum())
 
 
 def transfer_report(L):

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as cfgmod
-from .encoding import logical_state, logical_tomography
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
+from .encoding import DEFAULT_PROBE, logical_state, logical_tomography
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,7 @@ def detection_experiment(block, site, pauli):
     untouched on sublattice B.
     """
     lat = block.lattice
-    state = logical_state(block, (_SQRT_HALF, 0.0, _SQRT_HALF, 0.0))
+    state = logical_state(block, DEFAULT_PROBE)
     hit = inject_pauli(state, site, pauli)
     syn = extract_syndrome(hit, lat)
     tom = logical_tomography(hit, block)

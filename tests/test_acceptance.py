@@ -62,8 +62,8 @@ def test_criterion_2_syndrome_conservation(lat):
     assert r.passed, r.details
 
 
-def test_criterion_3_stationarity(lat, heff, blocks):
-    r = _report(st.criterion_stationarity(lat, heff, blocks))
+def test_criterion_3_stationarity(heff, blocks):
+    r = _report(st.criterion_stationarity(heff, blocks))
     assert r.passed, r.details
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +144,40 @@ def test_input_error_exit_code(capsys, argv):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert json.loads(line)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gates-demo", "--gate", "rx", "--theta", "nan"),
+    ("gates-demo", "--gate", "rz", "--phi", "inf"),
+    ("evolve", "--lambda", "nan"),
+    ("evolve", "--J=-inf"),
+    ("evolve", "--h", "nan"),
+    ("evolve", "--tmax", "inf"),
+    ("evolve", "--tol", "nan"),
+])
+def test_non_finite_number_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RUNS = {
+    "krylov_L4": ("krylov", "--L", "4"),
+    "blocks_L4": ("blocks", "--L", "4"),
+    "frozen_count_L4_both": ("frozen-count", "--L", "4", "--method", "both"),
+    "frozen_count_L8_transfer": ("frozen-count", "--L", "8", "--method", "transfer"),
+    "frozen_count_L10_transfer": ("frozen-count", "--L", "10", "--method", "transfer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_integer_outputs_match_golden(capsys, name):
+    # these reports hold no floats, so their bytes are the same on every machine
+    code, out = run_cli(capsys, *GOLDEN_RUNS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_evolve_breaking_perturbation_at_zero_lambda(capsys):

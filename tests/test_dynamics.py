@@ -170,9 +170,12 @@ def test_evolve_preserves_norm_and_energy(lat, heff, random_state):
     assert abs(np.vdot(psi_t, heff.matrix @ psi_t).imag) <= 1e-10
 
 
-def test_evolve_tolerance_guard(heff, random_state):
-    with pytest.raises(ValueError):
-        dyn.evolve(random_state, heff, 1.0, tol=1e-14)
+def test_evolve_tolerance_guard(blocks, heff, random_state):
+    for tol in (1e-14, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            dyn.evolve(random_state, heff, 1.0, tol=tol)
+        with pytest.raises(ValueError):
+            dyn.coherence_experiment(blocks[0], heff, [0.0, 1.0], tol=tol)
 
 
 def test_logical_operators_commute_with_heff(lat, heff, blocks):

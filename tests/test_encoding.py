@@ -75,9 +75,7 @@ def test_symmetry_orbit_rejects_non_code(lat):
 
 
 def test_block_counts(lat, blocks):
-    n_code, n_blocks, n_qubits = enc.qubit_count(lat)
-    assert (n_code, n_blocks, n_qubits) == (56, 14, 28)
-    assert len(blocks) == 14
+    assert (len(code_states(lat)), len(blocks), 2 * len(blocks)) == (56, 14, 28)
 
 
 def test_blocks_partition_code_states(lat, blocks):

@@ -268,14 +268,32 @@ def test_move_graph_rows_match_scalar_predicate(lat):
         assert set(row) == expected
 
 
-def test_union_find_decomposition_matches_bfs_oracle(lat, sectors):
-    # independent full decomposition: repeated scalar-predicate BFS sweeps
-    unvisited = set(range(1 << 16))
-    oracle = []
-    while unvisited:
-        root = min(unvisited)
-        component = _bfs_members(root, lat)
-        unvisited -= component
-        oracle.append((root, len(component)))
-    # BFS discovered components in ascending-representative order too
+def test_decomposition_matches_label_propagation_oracle(sectors):
+    # independent full decomposition: every configuration starts with its own
+    # label and takes the smallest label across each legal flip until nothing
+    # changes; at that fixpoint every label is its component's minimum.  The
+    # flip rule is written out here on (x, y) neighbour bits.
+    L = 4
+    cfgs = np.arange(1 << (L * L), dtype=np.int64)
+
+    def spin(x, y):
+        return (cfgs >> ((y % L) * L + x % L)) & 1
+
+    moves = []
+    for y in range(L):
+        for x in range(L):
+            right, left = spin(x + 1, y), spin(x - 1, y)
+            up, down = spin(x, y + 1), spin(x, y - 1)
+            legal = (right == left) & (left == up) & (up == down)
+            moves.append((cfgs[legal], 1 << (y * L + x)))
+
+    labels = cfgs.copy()
+    changed = True
+    while changed:
+        before = labels.copy()
+        for src, flip in moves:
+            np.minimum.at(labels, src, labels[src ^ flip])
+        changed = not np.array_equal(labels, before)
+    reps, sizes = np.unique(labels, return_counts=True)
+    oracle = list(zip(reps.tolist(), sizes.tolist()))
     assert oracle == [(s.representative, s.size) for s in sectors]
