@@ -92,22 +92,16 @@ def _cmd_krylov(args):
     histogram = fr.sector_histogram(sectors)
     frozen = [s for s in sectors if s.is_frozen_sector]
     n_code = sum(1 for s in frozen if all(v == 1 for v in s.syndrome))
-    formula = fr.formula_count(args.L)
     report = {
         "schema": 1,
         "L": args.L,
         "method": "connected_components",
         "n_sectors": len(sectors),
         "total_members": sum(s.size for s in sectors),
-        "count_unflippable": len(frozen),
-        "count_code_states": n_code,
-        "formula_value": formula,
-        "matches": {
-            "unflippable": len(frozen) == formula,
-            "code_states": n_code == formula,
-        },
-        "sector_histogram": [{"size": s, "count": c} for s, c in histogram],
     }
+    # the counts against the closed form; L and method keep their places
+    report.update(fr._report(args.L, report["method"], n_code, len(frozen)).to_dict())
+    report["sector_histogram"] = [{"size": s, "count": c} for s, c in histogram]
     _emit(report, args.out)
     return 0
 
@@ -287,6 +281,7 @@ def _cmd_evolve(args):
         "final_tomography": series.tomography[-1],
         "final_fidelity": float(series.fidelity[-1]),
         "chebyshev_order": series.counters.chebyshev_order,
+        "half_width": series.counters.half_width,
         "probe_dim": series.counters.probe_dim,
         "error_bound": series.counters.error_bound,
         "scaling_note": "single-size run; exponential-in-L stability claims are untested here",

@@ -25,9 +25,14 @@ and Kosloff 1984),
 
     exp(-iHt) psi = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(at) T_k((H-c)/a) psi,
 
-with centre c and half-width a of a Gershgorin interval around the
-spectrum.  The three-term recursion runs on the real and imaginary parts
-of psi separately, so each order costs one real mat-vec per part, and one
+with centre c and half-width a of an interval that provably holds the
+spectrum: Collatz-Wielandt bounds on +-D + |O|, D and O the diagonal and
+off-diagonal parts of H, taken with a shift that keeps the diagonal at
+least 1 (so rows with no off-diagonal entry stay finite) and clipped to
+Gershgorin's interval.  The Bessel tail below is computed on that a.
+
+The three-term recursion runs on the real and imaginary parts of psi
+separately, so each order costs one real mat-vec per part, and one
 recursion serves a whole time grid.  Its order is the smallest K whose
 Bessel tail |psi| sum_{k>=K} 2|J_k(at)| is at most tol at every requested
 time, so tol bounds the global 2-norm error at each time, not a
@@ -53,6 +58,8 @@ PERTURBATION_KINDS = (
 
 _PROBE_DIM = 6           # Lanczos vectors the invariant-subspace probe may build
 _BREAKDOWN_TOL = 1e-13   # happy breakdown: residual below this times max(1, |alpha|)
+_POWER_STEPS = 30        # power steps behind each Collatz-Wielandt bound
+_ROUNDING_PAD = 2.0 ** -40  # relative widening of each bound, for rounding
 
 
 @dataclass(frozen=True)
@@ -219,12 +226,45 @@ def _krylov_probe(H, psi):
     return None
 
 
+def _collatz_wielandt_max(absO, d):
+    """Upper bound on the largest eigenvalue of diag(d) + absO, absO >= 0.
+
+    M = diag(d + s) + absO with s = 1 - min(d) is nonnegative with diagonal
+    at least 1, so power steps from the all-ones vector keep v strictly
+    positive, and for any positive v the Collatz-Wielandt bound gives
+    lambda_max(M) <= max_i (M v)_i / v_i.  That ratio is widened by the
+    relative _ROUNDING_PAD, far above the rounding error of a row with up
+    to thousands of entries.
+    """
+    s = 1.0 - float(d.min())
+    shifted = d + s
+    v = np.ones(len(d))
+    for _ in range(_POWER_STEPS):
+        v = absO @ v + shifted * v
+        v /= v.max()
+    rho = float(np.max((absO @ v + shifted * v) / v))
+    return rho * (1.0 + _ROUNDING_PAD) - s
+
+
 def _spectral_interval(H):
-    """Centre c and half-width a of a Gershgorin interval holding spec(H)."""
+    """Centre c and half-width a of an interval that holds spec(H).
+
+    With H = D + O split into its diagonal and off-diagonal parts,
+    x^T O x <= |x|^T |O| |x| gives lambda_max(H) <= lambda_max(D + |O|),
+    and likewise lambda_min(H) >= -lambda_max(-D + |O|); each end comes
+    from _collatz_wielandt_max and is clipped to the Gershgorin end, whose
+    radii are the row sums of the same |O|, so the interval is never wider
+    than Gershgorin's.
+    """
     d = H.diagonal()
-    radius = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(d)
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
+    absO = abs(H)
+    absO.setdiag(0.0)
+    absO.eliminate_zeros()
+    radius = np.asarray(absO.sum(axis=1)).ravel()
+    lo = -_collatz_wielandt_max(absO, -d)
+    hi = _collatz_wielandt_max(absO, d)
+    lo = max(lo, float(np.min(d - radius)))
+    hi = min(hi, float(np.max(d + radius)))
     return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
@@ -278,6 +318,7 @@ class PropagatorCounters:
     chebyshev_order: int   # orders of the Chebyshev recursion; 0 on the probe path
     probe_dim: int         # Lanczos vectors the invariant-subspace probe built
     error_bound: float     # a-priori bound on the 2-norm error at every time
+    half_width: float      # half-width of the recursion's interval; 0.0 on the probe path
 
 
 def _propagate(op, psi0, times, tol, rows=None):
@@ -295,7 +336,7 @@ def _propagate(op, psi0, times, tol, rows=None):
     values = np.zeros((len(times), width), dtype=complex)
     norm = float(np.linalg.norm(psi0))
     if norm == 0.0:
-        return values, PropagatorCounters(0, 0, 0.0)
+        return values, PropagatorCounters(0, 0, 0.0, 0.0)
 
     probe = _krylov_probe(H, psi0)
     if probe is not None:
@@ -303,7 +344,7 @@ def _propagate(op, psi0, times, tol, rows=None):
         y = (np.exp(-1j * np.outer(times, evals)) * evecs[0]) @ evecs.T
         values = norm * (y @ np.array([b[sel] for b in basis]))
         bound = norm * residual * float(np.abs(times).max())
-        return values, PropagatorCounters(0, len(evals), bound)
+        return values, PropagatorCounters(0, len(evals), bound, 0.0)
 
     c, a = _spectral_interval(H)
     coef, bound = _chebyshev_coefficients(a * times, tol / norm)
@@ -314,7 +355,7 @@ def _propagate(op, psi0, times, tol, rows=None):
         for phase, v in zip((1.0, 1j), vs):
             values += np.outer(phase * coef[k], v[sel])
     values *= np.exp(-1j * c * times)[:, None]
-    return values, PropagatorCounters(len(coef), _PROBE_DIM, norm * bound)
+    return values, PropagatorCounters(len(coef), _PROBE_DIM, norm * bound, a)
 
 
 def evolve(state, op, t, tol=1e-10):

@@ -206,7 +206,8 @@ def test_evolve_czp_strong_reproduces_criterion_7(tmp_path, capsys):
                         "--perturbation", "sym_transverse", "--csv", str(csv_path))
     assert code == 0
     report = json.loads(out)
-    assert report["chebyshev_order"] > 0
+    assert report["chebyshev_order"] < 1285  # the order on Gershgorin's interval
+    assert 0.0 < report["half_width"] < 24.0  # Gershgorin's half-width
     assert report["error_bound"] <= report["tol"]
     lines = csv_path.read_text().strip().splitlines()
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
@@ -225,10 +226,22 @@ def test_evolve_counters_identical_bytes(capsys):
     report = json.loads(first)
     assert report["chebyshev_order"] > 0
     assert report["probe_dim"] == dyn._PROBE_DIM
+    assert report["half_width"] > 0.0
     assert 0.0 < report["error_bound"] <= report["tol"]
     # a diagonal perturbation keeps the probe in the block: no recursion
     _, out = run_cli(capsys, "evolve", "--perturbation", "break_longitudinal_random",
                      "--tmax", "1.0", "--steps", "4")
     report = json.loads(out)
     assert report["chebyshev_order"] == 0
+    assert report["half_width"] == 0.0
     assert 1 <= report["probe_dim"] <= 4
+
+
+def test_evolve_heff_sym_transverse_order(capsys):
+    # the evolve_mixing operator: spectrum +-8.05, Gershgorin +-15.2 (833 orders)
+    code, out = run_cli(capsys, "evolve", "--perturbation", "sym_transverse")
+    assert code == 0
+    report = json.loads(out)
+    assert report["chebyshev_order"] <= 470
+    assert report["half_width"] < 8.06
+    assert report["error_bound"] <= report["tol"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import eigsh, expm_multiply
 
 from fragmenta import config as cm
 from fragmenta import dynamics as dyn
@@ -336,3 +336,55 @@ def test_spectral_interval_contains_ritz_values(lat):
     T = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
     ritz = np.linalg.eigvalsh(T)
     assert c - a <= ritz[0] and ritz[-1] <= c + a
+
+
+def _gershgorin(matrix):
+    d = matrix.diagonal()
+    radius = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(d)
+    return float(np.min(d - radius)), float(np.max(d + radius))
+
+
+_BASES = {
+    "heff": dyn.build_heff,
+    "czp": dyn.build_hczp,
+    "czp_strong": dyn.build_czp_strong,
+}
+
+
+@pytest.fixture(scope="module")
+def bases(lat):
+    return {name: build(lat) for name, build in _BASES.items()}
+
+
+@pytest.mark.parametrize("kind", ("none",) + dyn.PERTURBATION_KINDS)
+@pytest.mark.parametrize("base", tuple(_BASES))
+def test_spectral_interval_holds_eigsh_extremes(lat, bases, base, kind):
+    # every operator `fragmenta evolve` builds at its defaults: the interval
+    # holds the extreme eigenvalues and lies inside the Gershgorin interval
+    op = bases[base]
+    if kind != "none":
+        op = op + dyn.build_perturbation(lat, kind, 0.05, seed=7)
+    c, a = dyn._spectral_interval(op.matrix)
+    lo, hi = (float(eigsh(op.matrix, k=1, which=which, tol=1e-12,
+                          return_eigenvectors=False)[0]) for which in ("SA", "LA"))
+    slack = 1e-9 * max(abs(lo), abs(hi))  # eigsh's own error
+    assert c - a <= lo + slack and hi - slack <= c + a
+    g_lo, g_hi = _gershgorin(op.matrix)
+    assert g_lo <= c - a and c + a <= g_hi
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_chebyshev_path_with_empty_rows_against_expm_multiply(lat, heff, random_state):
+    # bare heff has empty rows (the frozen states), and czp_strong plus a
+    # diagonal field has rows with no off-diagonal entry; the interval must
+    # stay finite and tight there, not fall back to Gershgorin
+    _, a = dyn._spectral_interval(heff.matrix)
+    assert a < 8.5  # Gershgorin gives 16, the spectrum +-8.4676
+    czp_diag = dyn.build_czp_strong(lat) + dyn.build_perturbation(lat, "break_zz_nn", 0.05)
+    for op in (heff, czp_diag):
+        values, counters = dyn._propagate(op, random_state, [1.0], 1e-10)
+        assert counters.chebyshev_order > 0
+        g_lo, g_hi = _gershgorin(op.matrix)
+        assert counters.half_width < 0.5 * (g_hi - g_lo)
+        reference = expm_multiply(-1j * op.matrix.astype(complex), random_state)
+        assert np.linalg.norm(values[0] - reference) <= 1e-9
