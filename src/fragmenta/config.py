@@ -136,13 +136,13 @@ def intersection_counts(cfgs, lat):
 def stabilizer_signs(cfgs, lat):
     """(len(cfgs), n_plaquettes) int8 matrix of plaquette stabilizer values."""
     cfgs = np.asarray(cfgs)
-    out = np.empty(cfgs.shape + (lat.n_plaquettes,), dtype=np.int8)
-    for p in range(lat.n_plaquettes):
-        pop = np.zeros(cfgs.shape, dtype=np.int8)
-        for c in lat.plaq_corners[p]:
-            pop += ((cfgs >> int(c)) & 1).astype(np.int8)
-        out[..., p] = -(1 - 2 * (pop & 1))
-    return out
+    if cfgs.dtype.kind != "u":
+        # bitwise_count reads a signed value's magnitude, not its bits
+        cfgs = cfgs.astype(np.uint64)
+    corners = np.left_shift(np.uint64(1), lat.plaq_corners.astype(np.uint64))
+    masks = np.bitwise_or.reduce(corners, axis=1).astype(cfgs.dtype)
+    pop = np.bitwise_count(cfgs[..., None] & masks)
+    return 2 * (pop & 1).astype(np.int8) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,15 @@ _PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# kind_a (x) kind_b on the four members, built once for every Pauli pair
+_TWO_QUBIT = {(ka, kb): np.kron(_PAULI[ka], _PAULI[kb]) for ka in _PAULI for kb in _PAULI}
+# the two-qubit observables logical_tomography reports, in output order
+_TOMOGRAPHY = {
+    "X_A": _TWO_QUBIT["X", "I"], "Y_A": _TWO_QUBIT["Y", "I"], "Z_A": _TWO_QUBIT["Z", "I"],
+    "X_B": _TWO_QUBIT["I", "X"], "Y_B": _TWO_QUBIT["I", "Y"], "Z_B": _TWO_QUBIT["I", "Z"],
+    "ZZ": _TWO_QUBIT["Z", "Z"], "XX": _TWO_QUBIT["X", "X"],
+    "ZX": _TWO_QUBIT["Z", "X"], "XZ": _TWO_QUBIT["X", "Z"],
+}
 
 
 class OrbitDegeneracyError(RuntimeError):
@@ -108,13 +117,9 @@ def enumerate_blocks(lat):
     return blocks
 
 
-def _two_qubit_matrix(kind_a, kind_b):
-    return np.kron(_PAULI[kind_a], _PAULI[kind_b])
-
-
 def _block_op_matrix(block, kind_a, kind_b):
     """Sparse full-space operator acting as kind_a (x) kind_b on the block."""
-    small = _two_qubit_matrix(kind_a, kind_b)
+    small = _TWO_QUBIT[kind_a, kind_b]
     members = block.members
     rows, cols, vals = [], [], []
     for r in range(4):
@@ -151,31 +156,53 @@ def logical_operator(block, sublattice, kind):
 
 
 def _max_abs(matrix):
-    matrix = sp.csr_matrix(matrix)
-    matrix.eliminate_zeros()
-    return 0.0 if matrix.nnz == 0 else float(np.abs(matrix.data).max())
+    """Largest |entry| of a dense or sparse matrix, 0.0 when it is zero."""
+    return float(abs(matrix).max())
+
+
+def _restrict_to_block(matrix, members):
+    """Dense members x members restriction of a full-space sparse operator.
+
+    Raises ValueError if the operator has a nonzero anywhere else, since
+    identities checked on the restriction could not see it.
+    """
+    matrix = matrix.tocsr()
+    small = np.zeros((4, 4), dtype=complex)
+    placed = 0
+    for i, r in enumerate(members):
+        span = slice(matrix.indptr[r], matrix.indptr[r + 1])
+        for c, v in zip(matrix.indices[span].tolist(), matrix.data[span].tolist()):
+            if v != 0 and c in members:
+                small[i, members.index(c)] += v
+                placed += 1
+    if placed != np.count_nonzero(matrix.data):
+        raise ValueError("logical operator has entries outside its block")
+    return small
 
 
 def verify_pauli_algebra(block):
     """Exact operator identities for one block; returns {check: residual}.
 
-    All residuals are max-abs entries of sparse differences and are expected
-    to be exactly zero: the operators have entries in {0, +-1, +-i} and the
-    products stay exact in floating point.
+    Every operator must vanish outside members x members (checked), so the
+    identities are evaluated on the dense 4 x 4 restrictions; the block
+    projector itself is compared on the full space.  All residuals are
+    max-abs entries of differences and are expected to be exactly zero: the
+    operators have entries in {0, +-1, +-i} and the products stay exact in
+    floating point.
     """
-    ops = {
+    members = list(block.members)
+    full = {
         (s, k): logical_operator(block, s, k).matrix
         for s in ("A", "B")
         for k in ("I", "X", "Y", "Z")
     }
+    ops = {key: _restrict_to_block(m, members) for key, m in full.items()}
     ident = ops[("A", "I")]
     residuals = {}
 
-    members = block.members
-    proj = sp.csr_matrix(
-        (np.ones(4), (members, members)), shape=ident.shape, dtype=complex
-    )
-    residuals["identity_is_block_projector"] = _max_abs(ident - proj)
+    dim = block.dimension
+    proj = sp.csr_matrix((np.ones(4), (members, members)), shape=(dim, dim), dtype=complex)
+    residuals["identity_is_block_projector"] = _max_abs(full[("A", "I")] - proj)
     residuals["identity_squares"] = _max_abs(ident @ ident - ident)
     residuals["identity_sublattice_independent"] = _max_abs(ident - ops[("B", "I")])
 
@@ -228,12 +255,6 @@ def logical_tomography(state, block):
     """
     c = block_amplitudes(state, block)
     out = {"population": float(np.vdot(c, c).real)}
-    singles = {
-        "X_A": ("X", "I"), "Y_A": ("Y", "I"), "Z_A": ("Z", "I"),
-        "X_B": ("I", "X"), "Y_B": ("I", "Y"), "Z_B": ("I", "Z"),
-        "ZZ": ("Z", "Z"), "XX": ("X", "X"), "ZX": ("Z", "X"), "XZ": ("X", "Z"),
-    }
-    for key, (ka, kb) in singles.items():
-        m = _two_qubit_matrix(ka, kb)
+    for key, m in _TOMOGRAPHY.items():
         out[key] = float(np.vdot(c, m @ c).real)
     return out

@@ -25,10 +25,15 @@ Three independent routes are provided and cross-checked by the tests:
   every plaquette row has been checked once.
 
 The first two build the full space and stop at config.config_range's cap
-(24 sites, so L = 4; L = 6 fails at once); sector_of has its own size_cap.
+(24 sites, so L = 4; L = 6 fails at once).  sector_of explores the
+component of one configuration on any lattice: a breadth-first search one
+frontier at a time, with flippable_mask applied to the whole frontier for
+each site (uint32 configurations up to 32 sites, uint64 above).  It raises
+ValueError for a configuration outside [0, 2**n_sites) and RuntimeError
+once the component has more than size_cap states.
 """
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +49,7 @@ def formula_count(L):
     return 2 ** (L + 2) - FORMULA_OFFSET
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KrylovSector:
     """One connected component of the constrained move graph."""
 
@@ -153,36 +158,43 @@ def krylov_decompose(lat: Lattice):
     reps = reps[order]
     sizes = sizes[order]
 
+    # far fewer syndromes than sectors (3,788 for 24,613 at L = 4): the
+    # sectors share one tuple per syndrome, which keeps the list small
     syndromes = cfgmod.cz_signs(reps.astype(np.uint32), lat)
-    return [
-        KrylovSector(
-            representative=rep,
-            size=size,
-            syndrome=tuple(row.tolist()),
-            is_frozen_sector=(size == 1),
-        )
-        for rep, size, row in zip(reps.tolist(), sizes.tolist(), syndromes)
-    ]
+    shared = {}
+    sectors = []
+    for rep, size, row in zip(reps.tolist(), sizes.tolist(), syndromes):
+        syndrome = tuple(row.tolist())
+        syndrome = shared.setdefault(syndrome, syndrome)
+        sectors.append(KrylovSector(
+            representative=rep, size=size, syndrome=syndrome, is_frozen_sector=(size == 1)
+        ))
+    return sectors
 
 
 def sector_of(cfg, lat, size_cap=1 << 22):
-    """BFS the component of one configuration without a global decomposition."""
-    seen = {int(cfg)}
-    queue = deque([int(cfg)])
-    while queue:
-        c = queue.popleft()
-        for i in range(lat.n_sites):
-            if cfgmod.is_flippable(c, lat, i):
-                nxt = c ^ (1 << i)
-                if nxt not in seen:
-                    if len(seen) >= size_cap:
-                        raise RuntimeError(
-                            f"component exceeded size cap {size_cap}"
-                        )
-                    seen.add(nxt)
-                    queue.append(nxt)
-    rep = min(seen)
-    signs = cfgmod.cz_signs(np.array([rep], dtype=np.uint64), lat)[0]
+    """Breadth-first search of one configuration's component, a frontier at a time.
+
+    Each level applies flippable_mask to the whole frontier once per site;
+    the flipped configurations not seen before form the next frontier.
+    Raises RuntimeError once the component has more than size_cap states.
+    """
+    cfg = int(cfg)
+    if not 0 <= cfg < 1 << lat.n_sites:
+        raise ValueError(f"configuration {cfg} is outside [0, 2**{lat.n_sites})")
+    dtype = np.uint32 if lat.n_sites <= 32 else np.uint64
+    seen = frontier = np.array([cfg], dtype=dtype)
+    while len(frontier):
+        flipped = np.concatenate([
+            frontier[cfgmod.flippable_mask(frontier, lat, i)] ^ dtype(1 << i)
+            for i in range(lat.n_sites)
+        ])
+        frontier = np.setdiff1d(flipped, seen)
+        if len(seen) + len(frontier) > size_cap:
+            raise RuntimeError(f"component exceeded size cap {size_cap}")
+        seen = np.union1d(seen, frontier)
+    rep = int(seen[0])
+    signs = cfgmod.cz_signs(seen[:1], lat)[0]
     return KrylovSector(
         representative=rep,
         size=len(seen),

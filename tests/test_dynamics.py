@@ -201,6 +201,16 @@ def test_coherence_series_t0_matches_direct_tomography(lat, heff, blocks):
     assert series.tomography[-1]["X_A"] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_coherence_tomography_builds_no_pauli_products(heff, blocks, monkeypatch):
+    # the two-qubit observables are tabulated once at import, not per call
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.kron called at run time")
+
+    monkeypatch.setattr(np, "kron", forbidden)
+    series = dyn.coherence_experiment(blocks[0], heff, [0.0, 0.5, 1.0])
+    assert series.tomography[-1]["X_A"] == pytest.approx(1.0, abs=1e-10)
+
+
 def test_coherence_break_run_is_exact_cosine(lat, heff, blocks):
     # diagonal breaking field: branches are exact eigenstates, so the
     # coherence precesses as cos(dE * t) with dE read off the diagonal

@@ -135,6 +135,34 @@ def test_pauli_algebra_all_blocks(blocks):
         assert max(residuals.values()) <= 1e-12
 
 
+def test_pauli_algebra_catches_a_wrong_sign(blocks, monkeypatch):
+    original = enc._block_op_matrix
+
+    def flipped_y(block, kind_a, kind_b):
+        m = original(block, kind_a, kind_b)
+        return -m if "Y" in (kind_a, kind_b) else m
+
+    monkeypatch.setattr(enc, "_block_op_matrix", flipped_y)
+    residuals = enc.verify_pauli_algebra(blocks[0])
+    assert residuals["XY_commutator_A"] > 0
+    assert residuals["ZX_commutator_B"] > 0
+
+
+def test_pauli_algebra_catches_an_entry_outside_the_block(blocks, monkeypatch):
+    original = enc._block_op_matrix
+    stray_row = blocks[0].members[1]   # 0 is no code state, so off the block
+
+    def leaky_z(block, kind_a, kind_b):
+        m = original(block, kind_a, kind_b)
+        if (kind_a, kind_b) == ("I", "Z"):
+            m = m + sp.csr_matrix(([1.0], ([stray_row], [0])), shape=m.shape)
+        return m
+
+    monkeypatch.setattr(enc, "_block_op_matrix", leaky_z)
+    with pytest.raises(ValueError):
+        enc.verify_pauli_algebra(blocks[0])
+
+
 def test_logical_state_and_tomography(blocks):
     block = blocks[0]
     state = enc.logical_state(block, (1.0, 0.0, 0.0, 0.0))

@@ -235,6 +235,48 @@ def test_sector_of_size_cap(lat):
         fr.sector_of(0, lat, size_cap=4)
 
 
+def test_sector_of_size_cap_is_inclusive(lat):
+    size = fr.sector_of(0, lat).size
+    assert size == len(_bfs_members(0, lat))
+    assert fr.sector_of(0, lat, size_cap=size).size == size
+    with pytest.raises(RuntimeError):
+        fr.sector_of(0, lat, size_cap=size - 1)
+
+
+@pytest.mark.parametrize("cfg", [1 << 16, -1])
+def test_sector_of_rejects_out_of_range_configs(lat, cfg):
+    with pytest.raises(ValueError):
+        fr.sector_of(cfg, lat)
+
+
+def test_sector_of_matches_scalar_bfs_at_L6():
+    # 36 sites: the frontier search runs on uint64 configurations
+    big = build_lattice(6)
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 8:
+        cfg = int(rng.integers(0, 1 << big.n_sites))
+        try:
+            members = _bfs_members(cfg, big, cap=300)
+        except RuntimeError:
+            continue
+        sec = fr.sector_of(cfg, big)
+        rep = min(members)
+        assert (sec.representative, sec.size) == (rep, len(members))
+        assert sec.syndrome == tuple(
+            cm.cz_plaquette(rep, big, p) for p in range(big.n_plaquettes)
+        )
+        checked += 1
+
+
+def test_sector_of_uses_the_vectorized_flip_rule(lat, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar is_flippable called")
+
+    monkeypatch.setattr(cm, "is_flippable", forbidden)
+    assert fr.sector_of(0, lat).size == 1980
+
+
 def test_size_guards(lat):
     big = build_lattice(6)
     with pytest.raises(ValueError):

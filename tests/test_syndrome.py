@@ -91,6 +91,48 @@ def test_inject_pauli_algebra(lat, blocks):
     assert abs(np.linalg.norm(syn.inject_pauli(psi, 9, "Y")) - 1.0) <= 1e-12
 
 
+def test_inject_pauli_matches_index_formula():
+    # the former implementation, written out: gather X through the flipped
+    # index, multiply Z by the +-1 sign of the bit, Y = i X Z
+    rng = np.random.default_rng(43)
+    psi = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
+    idx = np.arange(1 << 16, dtype=np.int64)
+    for site in range(16):
+        x = psi[idx ^ (1 << site)]
+        z = psi * (1.0 - 2.0 * ((idx >> site) & 1))
+        y = 1j * z[idx ^ (1 << site)]
+        for pauli, want in (("X", x), ("Y", y), ("Z", z)):
+            got = syn.inject_pauli(psi, site, pauli)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (site, pauli)
+
+
+def test_inject_pauli_rejects_unknown_pauli():
+    with pytest.raises(ValueError):
+        syn.inject_pauli(np.zeros(1 << 16, dtype=complex), 0, "W")
+
+
+@pytest.mark.parametrize("cfg", [1 << 16, 1 << 20, -1])
+def test_extract_syndrome_rejects_out_of_range_configs(lat, cfg):
+    with pytest.raises(ValueError):
+        syn.extract_syndrome(cfg, lat)
+
+
+def test_extract_syndrome_accepts_the_last_config(lat):
+    res = syn.extract_syndrome(np.int64((1 << 16) - 1), lat)
+    assert res.uniform and all(s == -1 for s in res.signs)
+
+
+def test_detection_builds_no_pauli_products(lat, blocks, monkeypatch):
+    # the two-qubit observables are tabulated once at import, not per call
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.kron called at run time")
+
+    monkeypatch.setattr(np, "kron", forbidden)
+    rep = syn.detection_experiment(blocks[0], 3, "Y")
+    assert rep.defect_count == 4
+
+
 def test_detection_x_error(lat, blocks):
     for block in blocks[:3]:
         for site in (0, 5, 11):
