@@ -282,6 +282,7 @@ def _cmd_evolve(args):
         "final_fidelity": float(series.fidelity[-1]),
         "chebyshev_order": series.counters.chebyshev_order,
         "half_width": series.counters.half_width,
+        "rows_per_order": series.counters.rows_per_order,
         "probe_dim": series.counters.probe_dim,
         "error_bound": series.counters.error_bound,
         "scaling_note": "single-size run; exponential-in-L stability claims are untested here",

@@ -31,12 +31,30 @@ off-diagonal parts of H, taken with a shift that keeps the diagonal at
 least 1 (so rows with no off-diagonal entry stay finite) and clipped to
 Gershgorin's interval.  The Bessel tail below is computed on that a.
 
-The three-term recursion runs on the real and imaginary parts of psi
-separately, so each order costs one real mat-vec per part, and one
-recursion serves a whole time grid.  Its order is the smallest K whose
-Bessel tail |psi| sum_{k>=K} 2|J_k(at)| is at most tol at every requested
-time, so tol bounds the global 2-norm error at each time, not a
-per-step local error.
+The recursion runs in the symmetry sectors of the XOR toggles the operator
+records (SparseOperator.toggles: the builders record both sublattice
+toggles where H commutes with them, and a sum keeps the toggles both terms
+share).  The toggles generate a group G, and H is block diagonal over its
+sectors: sector q is spanned by one orbit state |G|^(-1/2) sum_g chi_q(g)
+|r ^ g> per orbit representative r, so each block is 2^N / |G| wide.  psi
+is projected on every sector and empty sectors are skipped.  Each other
+sector component is factored as z w, z its largest entry; a logical state
+has one amplitude per sector, so w is real and the sector runs one real
+recursion, where the whole space would run two (Re and Im psi).  A w with
+an imaginary part runs two.  With no toggles there is one sector, the
+whole space.  One recursion serves a whole time grid.  Its order is the
+smallest K whose Bessel tail |psi| sum_{k>=K} 2|J_k(at)| is at most tol at
+every requested time, so tol bounds the global 2-norm error at each time,
+not a per-step local error; the sector errors are orthogonal, so together
+they stay within that bound.  The J_k come from Miller's downward
+recurrence, rescaled at every step so that it cannot under- or overflow.
+
+The interval bounds are taken in the trivial sector of |O|, whose entries
+are those of |O| summed over each orbit.  A positive vector constant on
+orbits stays one under +-D + |O|, which commutes with the toggles too, and
+its Collatz-Wielandt ratios and Gershgorin row sums are those of the
+trivial-sector restriction, so the interval is the full space's bound,
+computed at 1/|G| of the size.
 """
 
 from dataclasses import dataclass
@@ -60,13 +78,20 @@ _PROBE_DIM = 6           # Lanczos vectors the invariant-subspace probe may buil
 _BREAKDOWN_TOL = 1e-13   # happy breakdown: residual below this times max(1, |alpha|)
 _POWER_STEPS = 30        # power steps behind each Collatz-Wielandt bound
 _ROUNDING_PAD = 2.0 ** -40  # relative widening of each bound, for rounding
+_MILLER_PAD = 32         # orders the Bessel recurrence starts above its table
 
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """CSR operator on the packed basis."""
+    """CSR operator on the packed basis.
+
+    toggles are XOR masks the operator is known to commute with (the
+    builders record the sublattice toggles where that holds); the
+    propagator works in their symmetry sectors and does not check them.
+    """
 
     matrix: sp.csr_matrix
+    toggles: tuple = ()
 
     @property
     def dimension(self):
@@ -76,7 +101,14 @@ class SparseOperator:
         return self.matrix @ vec
 
     def __add__(self, other):
-        return SparseOperator(matrix=(self.matrix + other.matrix).tocsr())
+        shared = tuple(m for m in self.toggles if m in other.toggles)
+        return SparseOperator(matrix=(self.matrix + other.matrix).tocsr(), toggles=shared)
+
+
+def _check_finite(**coefficients):
+    for name, value in coefficients.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _single_flips(lat, cfgs, value):
@@ -97,9 +129,10 @@ def _csr(data, rows, cols, dim):
 
 def build_heff(lat, h=1.0):
     """Constrained flip model: -h between pairs related by a legal flip."""
+    _check_finite(h=h)
     matrix = move_graph(lat)
     matrix.data *= -h  # in place: a scaled copy (-h * graph) doubled later page faults
-    return SparseOperator(matrix=matrix)
+    return SparseOperator(matrix=matrix, toggles=(lat.mask_a, lat.mask_b))
 
 
 def _plaquette_energy(lat, cfgs, J):
@@ -109,18 +142,23 @@ def _plaquette_energy(lat, cfgs, J):
 
 def build_hczp(lat, J=1.0, h=1.0):
     """Unconstrained plaquette model: -J sum_p CZ_p - h sum_i X_i."""
+    _check_finite(J=J, h=h)
     cfgs = cfgmod.config_range(lat.n_sites)
     dim = len(cfgs)
     diag = _plaquette_energy(lat, cfgs, J)
     data, rows, cols = _single_flips(lat, cfgs, -h)
     idx = np.arange(dim, dtype=np.int64)
-    return SparseOperator(matrix=_csr([diag] + data, [idx] + rows, [idx] + cols, dim))
+    matrix = _csr([diag] + data, [idx] + rows, [idx] + cols, dim)
+    return SparseOperator(matrix=matrix, toggles=(lat.mask_a, lat.mask_b))
 
 
 def build_czp_strong(lat, J=1.0, h=1.0):
     """CZ_p model at strong coupling: heff's flips plus -J sum_p CZ_p."""
+    _check_finite(J=J, h=h)
     energy = _plaquette_energy(lat, cfgmod.config_range(lat.n_sites), J)
-    return build_heff(lat, h=h) + SparseOperator(matrix=_diagonal_operator(energy))
+    plaquettes = SparseOperator(matrix=_diagonal_operator(energy),
+                                toggles=(lat.mask_a, lat.mask_b))
+    return build_heff(lat, h=h) + plaquettes
 
 
 def _z_values(cfgs, site):
@@ -150,8 +188,10 @@ def build_perturbation(lat, kind, lam, seed=0):
 
     Symmetry is verified at build time, on the unit-strength operator so
     that lam = 0 passes too: the sym_ kinds must commute with both
-    sublattice toggles exactly, the break_ kinds must not.
+    sublattice toggles exactly, the break_ kinds must not.  The sym_ kinds
+    record both toggles.
     """
+    _check_finite(lam=lam)
     cfgs = cfgmod.config_range(lat.n_sites)
     dim = len(cfgs)
 
@@ -185,7 +225,8 @@ def build_perturbation(lat, kind, lam, seed=0):
             f"perturbation {kind} symmetry check failed (symmetric={symmetric})"
         )
     matrix.data *= lam  # after the check, which a zero operator would fail
-    return SparseOperator(matrix=matrix)
+    toggles = (lat.mask_a, lat.mask_b) if symmetric else ()
+    return SparseOperator(matrix=matrix, toggles=toggles)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +236,11 @@ def build_perturbation(lat, kind, lam, seed=0):
 def _check_tol(tol):
     if not 1e-12 <= tol < np.inf:  # also rejects nan
         raise ValueError("tol must be finite and >= 1e-12")
+
+
+def _check_state(psi):
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("state amplitudes must be finite")
 
 
 def _krylov_probe(H, psi):
@@ -226,6 +272,64 @@ def _krylov_probe(H, psi):
     return None
 
 
+class _Sectors:
+    """An operator in the symmetry-adapted basis of XOR toggles it commutes with.
+
+    The toggles generate a group G of XOR masks g_s, s a bit pattern over an
+    independent subset of them.  XOR acts freely, so every configuration is
+    x = r ^ g_s for exactly one orbit representative r (the orbit minimum)
+    and one s.  Sector q has the orthonormal states
+    |r; q> = |G|^(-1/2) sum_s chi_q(s) |r ^ g_s>, chi_q(s) = (-1)^popcount(q & s),
+    and H, which commutes with G, maps each sector to itself with
+    <r'; q|H|r; q> = sum_s chi_q(s) H[r', r ^ g_s]: H's row r' with every
+    entry moved to its column's representative and signed by chi_q.  With no
+    toggles there is one sector, and it is H itself.
+    """
+
+    def __init__(self, H, toggles):
+        group = [0]
+        for mask in toggles:
+            if mask not in group:
+                group += [g ^ mask for g in group]
+        s = np.arange(len(group))
+        self.chars = 1.0 - 2.0 * (np.bitwise_count(s[:, None] & s) & 1)
+        configs = np.arange(H.shape[0])
+        images = configs ^ np.array(group)[:, None]
+        self.element = images.argmin(axis=0)   # x = rep(x) ^ g_element(x)
+        rep = images[self.element, configs]
+        self.reps = np.flatnonzero(rep == configs)
+        self.index = np.searchsorted(self.reps, rep)   # position of rep(x) in reps
+        self.orbits = images[:, self.reps]             # r ^ g_s, shape (|G|, len(reps))
+        self.diagonal = H.diagonal()[self.reps]
+        self.rows = H[self.reps]
+        self.col_element = self.element[self.rows.indices]
+
+    def block(self, q):
+        """Sector q's block of H."""
+        return self._on_reps(self.rows.data * self.chars[q, self.col_element])
+
+    def abs_offdiagonal(self):
+        """The trivial sector's block of |O|, O the off-diagonal part of H."""
+        owner = np.repeat(self.reps, np.diff(self.rows.indptr))
+        return self._on_reps(np.where(self.rows.indices == owner, 0.0, np.abs(self.rows.data)))
+
+    def _on_reps(self, data):
+        # columns come out unsorted and possibly repeated, which a mat-vec sums
+        n = len(self.reps)
+        cols = self.index[self.rows.indices]
+        return sp.csr_matrix((data, cols, self.rows.indptr), shape=(n, n))
+
+
+def _walsh(a):
+    """sum_s chi_q(s) a[s] for every q, over axis 0 of length 2^k, as +- sums."""
+    h = 1
+    while h < len(a):
+        b = a.reshape(len(a) // (2 * h), 2, h, -1)
+        a = np.stack((b[:, 0] + b[:, 1], b[:, 0] - b[:, 1]), axis=1).reshape(a.shape)
+        h *= 2
+    return a
+
+
 def _collatz_wielandt_max(absO, d):
     """Upper bound on the largest eigenvalue of diag(d) + absO, absO >= 0.
 
@@ -246,7 +350,7 @@ def _collatz_wielandt_max(absO, d):
     return rho * (1.0 + _ROUNDING_PAD) - s
 
 
-def _spectral_interval(H):
+def _spectral_interval(sectors):
     """Centre c and half-width a of an interval that holds spec(H).
 
     With H = D + O split into its diagonal and off-diagonal parts,
@@ -255,17 +359,45 @@ def _spectral_interval(H):
     from _collatz_wielandt_max and is clipped to the Gershgorin end, whose
     radii are the row sums of the same |O|, so the interval is never wider
     than Gershgorin's.
+
+    Both are taken in the trivial sector of |O|, which gives the full
+    space's bounds (see the module docstring).
     """
-    d = H.diagonal()
-    absO = abs(H)
-    absO.setdiag(0.0)
-    absO.eliminate_zeros()
+    absO = sectors.abs_offdiagonal()
+    d = sectors.diagonal
     radius = np.asarray(absO.sum(axis=1)).ravel()
     lo = -_collatz_wielandt_max(absO, -d)
     hi = _collatz_wielandt_max(absO, d)
     lo = max(lo, float(np.min(d - radius)))
     hi = min(hi, float(np.max(d + radius)))
     return 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+
+def _bessel_table(x, n):
+    """J_k(x_j) for k < n, shape (n, len(x)), by Miller's downward recurrence.
+
+    J_{k-1} = (2k/x) J_k - J_{k+1} runs down from k = n + _MILLER_PAD, where
+    it starts from arbitrary values, and the result is normalized by
+    J_0 + 2 sum_k J_{2k} = 1.  Downward, the decaying solution J dominates,
+    so the start washes out.  Every step splits its value into a mantissa
+    and a binary exponent kept per column, so no column under- or
+    overflows, however far below n its x lies.
+    """
+    ax = np.maximum(np.abs(x), 1e-300)  # keeps 2k/x finite; J_k(0) = 0 for k > 0 to 1e-300
+    mantissa = np.empty((n, len(x)))
+    exponent = np.empty((n, len(x)), dtype=np.int64)
+    nxt, cur = np.zeros(len(x)), np.ones(len(x))
+    scale = np.zeros(len(x), dtype=np.int64)
+    for k in range(n + _MILLER_PAD, 0, -1):
+        prev, e = np.frexp((2.0 * k / ax) * cur - nxt)
+        nxt, cur = np.ldexp(cur, -e), prev
+        scale += e
+        if k <= n:
+            mantissa[k - 1], exponent[k - 1] = prev, scale
+    table = np.ldexp(mantissa, exponent - exponent.max(axis=0))
+    table /= table[0] + 2.0 * table[2::2].sum(axis=0)
+    table[1::2, x < 0] *= -1.0  # J_k(-x) = (-1)^k J_k(x)
+    return table
 
 
 def _chebyshev_coefficients(x, tol):
@@ -276,13 +408,13 @@ def _chebyshev_coefficients(x, tol):
     Orders from kmax on are bounded by 4 (|x|/2)^kmax / kmax!, which holds
     for kmax >= |x| and is kept below tol / 1e6.
     """
-    from scipy.special import gammaln, jv
+    from scipy.special import gammaln
 
     xmax = max(float(np.abs(x).max()), 1.0)
     ks = np.arange(int(np.ceil(xmax)), int(3 * xmax) + 100)
     log_rest = np.log(4.0) + ks * np.log(xmax / 2.0) - gammaln(ks + 1.0)
     kmax = int(ks[np.argmax(log_rest < np.log(tol) - 6.0 * np.log(10.0))])
-    bessel = jv(np.arange(kmax)[:, None], x[None, :])
+    bessel = _bessel_table(x, kmax)
     tails = np.zeros(kmax + 1)
     tails[:kmax] = np.cumsum(2.0 * np.abs(bessel[::-1]), axis=0)[::-1].max(axis=1)
     tails += np.exp(log_rest[kmax - ks[0]])
@@ -319,6 +451,7 @@ class PropagatorCounters:
     probe_dim: int         # Lanczos vectors the invariant-subspace probe built
     error_bound: float     # a-priori bound on the 2-norm error at every time
     half_width: float      # half-width of the recursion's interval; 0.0 on the probe path
+    rows_per_order: int    # sector dimension x real parts, summed over the recursions run
 
 
 def _propagate(op, psi0, times, tol, rows=None):
@@ -333,10 +466,9 @@ def _propagate(op, psi0, times, tol, rows=None):
     times = np.asarray(times, dtype=float)
     sel = slice(None) if rows is None else rows
     width = H.shape[0] if rows is None else len(rows)
-    values = np.zeros((len(times), width), dtype=complex)
     norm = float(np.linalg.norm(psi0))
     if norm == 0.0:
-        return values, PropagatorCounters(0, 0, 0.0, 0.0)
+        return np.zeros((len(times), width), dtype=complex), PropagatorCounters(0, 0, 0.0, 0.0, 0)
 
     probe = _krylov_probe(H, psi0)
     if probe is not None:
@@ -344,31 +476,52 @@ def _propagate(op, psi0, times, tol, rows=None):
         y = (np.exp(-1j * np.outer(times, evals)) * evecs[0]) @ evecs.T
         values = norm * (y @ np.array([b[sel] for b in basis]))
         bound = norm * residual * float(np.abs(times).max())
-        return values, PropagatorCounters(0, len(evals), bound, 0.0)
+        return values, PropagatorCounters(0, len(evals), bound, 0.0, 0)
 
-    c, a = _spectral_interval(H)
+    sectors = _Sectors(H, op.toggles)
+    c, a = _spectral_interval(sectors)
     coef, bound = _chebyshev_coefficients(a * times, tol / norm)
-    parts = [psi0.real.copy()]
-    if np.any(psi0.imag):
-        parts.append(psi0.imag.copy())
-    for k, vs in enumerate(_chebyshev_terms(H, c, a, parts, len(coef))):
-        for phase, v in zip((1.0, 1j), vs):
-            values += np.outer(phase * coef[k], v[sel])
+    out = np.arange(H.shape[0])[sel]
+    need, pos = np.unique(sectors.index[out], return_inverse=True)  # sector rows recorded
+    amps = _walsh(psi0[sectors.orbits])  # |G|^(1/2) times the sector components
+    recorded = np.zeros((len(amps), len(times), len(need)), dtype=complex)
+    rows_per_order = 0
+    for q, v in enumerate(amps):
+        if not np.any(v):
+            continue
+        # v = scale * w / conj(z), z the largest entry of v / scale; w's
+        # parts are separate real products, so w.imag is exactly 0 when v is
+        # one number times a real vector, as in each logical state's sector
+        big = np.argmax(np.abs(v))
+        scale = abs(v[big])
+        v = v / scale
+        z = v[big]
+        parts = [v.real * z.real + v.imag * z.imag]
+        imag = v.imag * z.real - v.real * z.imag
+        if np.any(imag):
+            parts.append(imag)
+        rows_per_order += len(v) * len(parts)
+        for k, vs in enumerate(_chebyshev_terms(sectors.block(q), c, a, parts, len(coef))):
+            for phase, u in zip((1.0, 1j), vs):
+                recorded[q] += np.outer(phase * coef[k], u[need])
+        recorded[q] *= scale / np.conj(z)
+    values = _walsh(recorded)[sectors.element[out], :, pos].T / len(amps)
     values *= np.exp(-1j * c * times)[:, None]
-    return values, PropagatorCounters(len(coef), _PROBE_DIM, norm * bound, a)
+    return values, PropagatorCounters(len(coef), _PROBE_DIM, norm * bound, a, rows_per_order)
 
 
 def evolve(state, op, t, tol=1e-10):
     """exp(-i H t)|state> for real symmetric H and any finite t.
 
     Negative t evolves backward.  tol bounds the 2-norm error of the
-    result; t = NaN or +-inf raises ValueError.
+    result; t = NaN or +-inf, or a non-finite amplitude, raises ValueError.
     """
     t = float(t)
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     _check_tol(tol)
     psi = np.array(state, dtype=complex, copy=True)
+    _check_state(psi)
     if t == 0:
         return psi
     values, _ = _propagate(op, psi, [t], tol)
@@ -418,12 +571,15 @@ def coherence_experiment(block, op, times, tol=1e-10, initial=None):
     error of the state at every grid point.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError("times must be a non-empty list")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must start at 0 and increase strictly")
     _check_tol(tol)
     psi0 = logical_state(block, DEFAULT_PROBE) if initial is None else initial
+    _check_state(psi0)
     members = np.array(block.members)
     rows = np.union1d(members, np.flatnonzero(psi0))
     values, counters = _propagate(op, psi0, times, tol, rows)

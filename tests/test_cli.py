@@ -227,6 +227,10 @@ def test_evolve_counters_identical_bytes(capsys):
     assert report["chebyshev_order"] > 0
     assert report["probe_dim"] == dyn._PROBE_DIM
     assert report["half_width"] > 0.0
+    # the default probe lives in two of the four sublattice-toggle sectors,
+    # each with one real part of 2^16 / 4 rows
+    assert report["rows_per_order"] == 32768
+    assert list(report).index("rows_per_order") == list(report).index("half_width") + 1
     assert 0.0 < report["error_bound"] <= report["tol"]
     # a diagonal perturbation keeps the probe in the block: no recursion
     _, out = run_cli(capsys, "evolve", "--perturbation", "break_longitudinal_random",
@@ -234,6 +238,7 @@ def test_evolve_counters_identical_bytes(capsys):
     report = json.loads(out)
     assert report["chebyshev_order"] == 0
     assert report["half_width"] == 0.0
+    assert report["rows_per_order"] == 0
     assert 1 <= report["probe_dim"] <= 4
 
 

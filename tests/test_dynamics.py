@@ -10,6 +10,16 @@ from fragmenta.lattice import build_lattice
 
 SQ2 = 2 ** -0.5
 
+# a warning from the sector transforms, the phase factoring or the Bessel
+# recurrence fails the test that raised it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def interval(op, toggles=None):
+    """The propagator's spectral interval of op, in the sectors of its toggles."""
+    toggles = op.toggles if toggles is None else toggles
+    return dyn._spectral_interval(dyn._Sectors(op.matrix, toggles))
+
 
 @pytest.fixture(scope="module")
 def lat():
@@ -125,6 +135,20 @@ def test_unknown_perturbation_rejected(lat):
         dyn.build_perturbation(lat, "nonsense", 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficients_rejected(lat, bad):
+    with pytest.raises(ValueError, match="h must be finite"):
+        dyn.build_heff(lat, h=bad)
+    for build in (dyn.build_hczp, dyn.build_czp_strong):
+        with pytest.raises(ValueError, match="J must be finite"):
+            build(lat, J=bad)
+        with pytest.raises(ValueError, match="h must be finite"):
+            build(lat, h=bad)
+    for kind in dyn.PERTURBATION_KINDS:
+        with pytest.raises(ValueError, match="lam must be finite"):
+            dyn.build_perturbation(lat, kind, bad)
+
+
 def test_symmetric_perturbation_degenerate_on_members(lat, blocks, heff):
     for kind in ("sym_transverse", "sym_zz_nnn"):
         op = heff + dyn.build_perturbation(lat, kind, 0.05, seed=3)
@@ -176,6 +200,17 @@ def test_evolve_tolerance_guard(blocks, heff, random_state):
             dyn.evolve(random_state, heff, 1.0, tol=tol)
         with pytest.raises(ValueError):
             dyn.coherence_experiment(blocks[0], heff, [0.0, 1.0], tol=tol)
+    # a non-finite amplitude or an empty grid is refused before any work
+    for bad in (np.nan, np.inf):
+        state = random_state.copy()
+        state[3] = bad
+        for t in (0.0, 1.0):
+            with pytest.raises(ValueError, match="finite"):
+                dyn.evolve(state, heff, t)
+        with pytest.raises(ValueError, match="finite"):
+            dyn.coherence_experiment(blocks[0], heff, [0.0, 1.0], initial=state)
+    with pytest.raises(ValueError, match="non-empty"):
+        dyn.coherence_experiment(blocks[0], heff, [])
 
 
 def test_logical_operators_commute_with_heff(lat, heff, blocks):
@@ -330,7 +365,7 @@ def test_spectral_interval_contains_ritz_values(lat):
     # extremal Ritz values of a 40-step Lanczos run lie inside the spectrum
     op = dyn.build_czp_strong(lat, J=1.0) + dyn.build_perturbation(
         lat, "sym_transverse", 0.05)
-    c, a = dyn._spectral_interval(op.matrix)
+    c, a = interval(op)
     rng = np.random.default_rng(2)
     v = rng.normal(size=1 << lat.n_sites)
     V = [v / np.linalg.norm(v)]
@@ -369,12 +404,19 @@ def bases(lat):
 @pytest.mark.parametrize("kind", ("none",) + dyn.PERTURBATION_KINDS)
 @pytest.mark.parametrize("base", tuple(_BASES))
 def test_spectral_interval_holds_eigsh_extremes(lat, bases, base, kind):
-    # every operator `fragmenta evolve` builds at its defaults: the interval
-    # holds the extreme eigenvalues and lies inside the Gershgorin interval
+    # every operator `fragmenta evolve` builds at its defaults: each toggle
+    # it records commutes with it, and the interval, taken in the trivial
+    # sector of those toggles, is the full space's, holds the extreme
+    # eigenvalues and lies inside the Gershgorin interval
     op = bases[base]
     if kind != "none":
         op = op + dyn.build_perturbation(lat, kind, 0.05, seed=7)
-    c, a = dyn._spectral_interval(op.matrix)
+    assert op.toggles == (() if kind.startswith("break_") else (lat.mask_a, lat.mask_b))
+    for mask in op.toggles:
+        assert dyn._commutes_with_toggle(op.matrix, mask, op.dimension)
+    c, a = interval(op)
+    c_full, a_full = interval(op, toggles=())
+    assert abs(c - c_full) <= 1e-12 * a_full and abs(a - a_full) <= 1e-12 * a_full
     lo, hi = (float(eigsh(op.matrix, k=1, which=which, tol=1e-12,
                           return_eigenvectors=False)[0]) for which in ("SA", "LA"))
     slack = 1e-9 * max(abs(lo), abs(hi))  # eigsh's own error
@@ -383,12 +425,11 @@ def test_spectral_interval_holds_eigsh_extremes(lat, bases, base, kind):
     assert g_lo <= c - a and c + a <= g_hi
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_chebyshev_path_with_empty_rows_against_expm_multiply(lat, heff, random_state):
     # bare heff has empty rows (the frozen states), and czp_strong plus a
     # diagonal field has rows with no off-diagonal entry; the interval must
     # stay finite and tight there, not fall back to Gershgorin
-    _, a = dyn._spectral_interval(heff.matrix)
+    _, a = interval(heff)
     assert a < 8.5  # Gershgorin gives 16, the spectrum +-8.4676
     czp_diag = dyn.build_czp_strong(lat) + dyn.build_perturbation(lat, "break_zz_nn", 0.05)
     for op in (heff, czp_diag):
@@ -398,3 +439,85 @@ def test_chebyshev_path_with_empty_rows_against_expm_multiply(lat, heff, random_
         assert counters.half_width < 0.5 * (g_hi - g_lo)
         reference = expm_multiply(-1j * op.matrix.astype(complex), random_state)
         assert np.linalg.norm(values[0] - reference) <= 1e-9
+
+
+def _jv_coefficients(x, tol):
+    # the full-table construction, on scipy's jv: every order up to the
+    # crude cutoff kmax where 4 (|x|/2)^k / k! drops below tol / 1e6
+    from scipy.special import gammaln, jv
+
+    xmax = max(float(np.abs(x).max()), 1.0)
+    ks = np.arange(int(np.ceil(xmax)), int(3 * xmax) + 100)
+    log_rest = np.log(4.0) + ks * np.log(xmax / 2.0) - gammaln(ks + 1.0)
+    kmax = int(ks[np.argmax(log_rest < np.log(tol) - 6.0 * np.log(10.0))])
+    bessel = jv(np.arange(kmax)[:, None], x[None, :])
+    tails = np.cumsum(2.0 * np.abs(bessel[::-1]), axis=0)[::-1].max(axis=1)
+    tails += np.exp(log_rest[kmax - ks[0]])
+    order = int(np.argmax(tails <= tol))
+    return bessel[:order], order, float(tails[order])
+
+
+@pytest.mark.parametrize("xmax", [400.0, 1200.0])
+def test_chebyshev_coefficients_match_the_full_jv_table(xmax):
+    # backward and forward times and t = 0 on one grid
+    x = np.linspace(-xmax, xmax, 27)
+    coef, bound = dyn._chebyshev_coefficients(x, 1e-10)
+    bessel, order, reference_bound = _jv_coefficients(x, 1e-10)
+    assert len(coef) == order
+    assert bound == pytest.approx(reference_bound, rel=1e-9)
+    assert bound <= 1e-10
+    phases = np.array([1.0, -1j, -1.0, 1j])[np.arange(order) % 4]
+    expected = phases[:, None] * bessel * np.where(np.arange(order) > 0, 2.0, 1.0)[:, None]
+    assert np.abs(coef - expected).max() <= 2e-13
+
+
+def test_bessel_table_at_tiny_and_zero_arguments():
+    x = np.array([0.0, 1e-300, 1e-200, 1e-8, -1e-8])
+    table = dyn._bessel_table(x, 40)
+    assert np.all(np.isfinite(table))
+    assert table[0, 0] == 1.0 and not np.any(np.abs(table[1:, 0]) > 1e-299)
+    assert table[1, 3] == pytest.approx(5e-9, rel=1e-12)
+    assert table[1, 4] == pytest.approx(-5e-9, rel=1e-12)
+
+
+def test_sectors_complex_full_state_against_expm_multiply(lat, random_state):
+    # a random complex state is in all four sectors, each with two real
+    # parts: 2 x 2^16 rows per order, as for Re and Im over the whole space
+    op = dyn.build_czp_strong(lat) + dyn.build_perturbation(lat, "sym_zz_nnn", 0.05)
+    times = [0.4, 1.0]
+    values, counters = dyn._propagate(op, random_state, times, 1e-10)
+    assert counters.rows_per_order == 2 * (1 << lat.n_sites)
+    for t, psi in zip(times, values):
+        reference = expm_multiply(-1j * t * op.matrix.astype(complex), random_state)
+        assert np.linalg.norm(psi - reference) <= 1e-9
+
+
+def test_sectors_logical_state_full_output_against_expm_multiply(lat, blocks):
+    # a logical state has one amplitude per sector, so each sector runs one
+    # real recursion of 2^16 / 4 rows: half of Re and Im over the whole space
+    op = dyn.build_heff(lat) + dyn.build_perturbation(lat, "sym_transverse", 0.05)
+    rng = np.random.default_rng(8)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi0 = enc.logical_state(blocks[3], amps / np.linalg.norm(amps))
+    values, counters = dyn._propagate(op, psi0, [2.0], 1e-10)
+    assert counters.rows_per_order == 1 << 16
+    psi_t = dyn.evolve(psi0, op, 2.0, tol=1e-10)
+    assert np.array_equal(psi_t, values[0])
+    reference = expm_multiply(-1j * 2.0 * op.matrix.astype(complex), psi0)
+    assert np.linalg.norm(psi_t - reference) <= 1e-9
+    # the default probe lives in two of the four sectors
+    _, counters = dyn._propagate(op, enc.logical_state(blocks[3], dyn.DEFAULT_PROBE),
+                                 [2.0], 1e-10)
+    assert counters.rows_per_order == (1 << 16) // 2
+
+
+def test_operator_without_toggles_against_expm_multiply(lat, heff, random_state):
+    # breaking the symmetry drops the toggles: one sector, the whole space
+    op = heff + dyn.build_perturbation(lat, "break_zz_nn", 0.05)
+    assert op.toggles == ()
+    assert dyn.SparseOperator(matrix=heff.matrix).toggles == ()
+    values, counters = dyn._propagate(op, random_state, [0.9], 1e-10)
+    assert counters.chebyshev_order > 0
+    assert counters.rows_per_order == 2 * (1 << lat.n_sites)
+    reference = expm_multiply(-1j * 0.9 * op.matrix.astype(complex), random_state)
+    assert np.linalg.norm(values[0] - reference) <= 1e-9
