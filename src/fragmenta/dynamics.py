@@ -58,6 +58,7 @@ computed at 1/|G| of the size.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -183,13 +184,18 @@ def _commutes_with_toggle(matrix, xor_mask, dim):
     return diff.nnz == 0
 
 
+def _diagonal_commutes_with_toggle(diag, xor_mask):
+    """_commutes_with_toggle for a diagonal operator, without conjugating it."""
+    return np.array_equal(diag, diag[np.arange(len(diag)) ^ xor_mask])
+
+
 def build_perturbation(lat, kind, lam, seed=0):
     """One of the four perturbation kinds, scaled by lam.
 
     Symmetry is verified at build time, on the unit-strength operator so
-    that lam = 0 passes too: the sym_ kinds must commute with both
-    sublattice toggles exactly, the break_ kinds must not.  The sym_ kinds
-    record both toggles.
+    that lam = 0 passes too: the sym_ kinds must commute with both sublattice
+    toggles exactly (diagonal kinds: diag[x] == diag[x ^ mask]), the break_
+    kinds must not.  The sym_ kinds record both toggles.
     """
     _check_finite(lam=lam)
     cfgs = cfgmod.config_range(lat.n_sites)
@@ -197,6 +203,7 @@ def build_perturbation(lat, kind, lam, seed=0):
 
     if kind == "sym_transverse":
         matrix = _csr(*_single_flips(lat, cfgs, 1.0), dim)
+        commutes = partial(_commutes_with_toggle, matrix, dim=dim)
     elif kind in PERTURBATION_KINDS:
         diag = np.zeros(dim, dtype=np.float64)
         if kind == "break_longitudinal_random":
@@ -214,11 +221,11 @@ def build_perturbation(lat, kind, lam, seed=0):
                     j = lat.site_index(x + dx, y + dy)
                     diag += _z_values(cfgs, i) * _z_values(cfgs, j)
         matrix = _diagonal_operator(diag)
+        commutes = partial(_diagonal_commutes_with_toggle, diag)
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
 
-    symmetric = _commutes_with_toggle(matrix, lat.mask_a, dim) and \
-        _commutes_with_toggle(matrix, lat.mask_b, dim)
+    symmetric = commutes(lat.mask_a) and commutes(lat.mask_b)
     expected = kind.startswith("sym_")
     if symmetric != expected:
         raise AssertionError(

@@ -136,6 +136,8 @@ def test_usage_error_exit_code():
     ("evolve", "--block", "99"),
     ("frozen-count", "--L", "6", "--method", "brute"),
     ("frozen-count", "--L", "6"),
+    ("frozen-count", "--L", "12"),  # brute force, past config_range's cap
+    ("frozen-count", "--L", "14", "--method", "transfer"),
 ])
 def test_input_error_exit_code(capsys, argv):
     code = main(list(argv))
@@ -169,6 +171,7 @@ GOLDEN_RUNS = {
     "frozen_count_L4_both": ("frozen-count", "--L", "4", "--method", "both"),
     "frozen_count_L8_transfer": ("frozen-count", "--L", "8", "--method", "transfer"),
     "frozen_count_L10_transfer": ("frozen-count", "--L", "10", "--method", "transfer"),
+    "frozen_count_L12_transfer": ("frozen-count", "--L", "12", "--method", "transfer"),
 }
 
 

@@ -115,6 +115,38 @@ def test_perturbation_symmetry_classes(lat, kind):
 
 
 @pytest.mark.parametrize("kind", dyn.PERTURBATION_KINDS)
+def test_diagonal_symmetry_check_agrees_with_conjugation(lat, kind):
+    # build_perturbation checks its diagonal kinds by diag[x] == diag[x ^ mask];
+    # on every kind's diagonal that must agree with conjugating the operator
+    op = dyn.build_perturbation(lat, kind, 1.0, seed=7)
+    diag = op.matrix.diagonal()
+    for mask in (lat.mask_a, lat.mask_b):
+        by_conjugation = dyn._commutes_with_toggle(op.matrix, mask, op.dimension)
+        assert by_conjugation == kind.startswith("sym_")
+        assert dyn._diagonal_commutes_with_toggle(diag, mask) == by_conjugation
+
+
+@pytest.mark.parametrize("kind", ("sym_zz_nnn", "break_longitudinal_random", "break_zz_nn"))
+def test_symmetry_check_rejects_one_changed_diagonal_entry(lat, kind, monkeypatch):
+    # z of site 0 changed in the all-up configuration, where every partner
+    # of site 0 has z = 1, changes that one diagonal entry
+    z_values = dyn._z_values
+
+    def changed(cfgs, site):
+        z = z_values(cfgs, site)
+        if site == 0:
+            z[0] += 0.5
+        return z
+
+    monkeypatch.setattr(dyn, "_z_values", changed)
+    if kind.startswith("sym_"):
+        with pytest.raises(AssertionError):
+            dyn.build_perturbation(lat, kind, 0.05, seed=7)
+    else:
+        assert dyn.build_perturbation(lat, kind, 0.05, seed=7).toggles == ()
+
+
+@pytest.mark.parametrize("kind", dyn.PERTURBATION_KINDS)
 def test_perturbation_at_zero_lambda(lat, kind):
     # the symmetry self-check runs at unit strength, so lam = 0 is legal
     op = dyn.build_perturbation(lat, kind, 0.0, seed=7)

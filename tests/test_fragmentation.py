@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fragmenta import config as cm
 from fragmenta import fragmentation as fr
@@ -137,11 +138,89 @@ def test_transfer_clean_pair_restriction_is_exact():
     assert full_trace == fr.count_code_states_transfer(4) == 56
 
 
+def test_transfer_L12_matches_closed_form():
+    # the next L = 0 (mod 4) point after L = 8: 3^12 + 3 clean row pairs
+    T = fr._transfer_matrix(12)
+    assert T.shape == (531_444, 531_444)
+    assert T.nnz == 8_200
+    assert fr.count_code_states_transfer(12) == fr.formula_count(12) == 16_376
+
+
 def test_transfer_guards():
     with pytest.raises(ValueError):
         fr.count_code_states_transfer(5)
     with pytest.raises(ValueError):
-        fr.count_code_states_transfer(12)
+        fr.count_code_states_transfer(14)
+
+
+# per-site oracles for the transfer kernels, written from the flip rule on
+# numpy arrays of rows: a site flips only when its four neighbors agree, and a
+# plaquette has CZ = -1 only when both of its diagonals disagree
+
+
+def row_bit(rows, x):
+    return (rows >> x) & 1
+
+
+def clean_by_site(a, b, L):
+    """No plaquette between row a and the row b above it has CZ = -1."""
+    ok = np.ones(np.broadcast(a, b).shape, dtype=bool)
+    for x in range(L):
+        x1 = (x + 1) % L
+        ok &= ~((row_bit(a, x) != row_bit(b, x1)) & (row_bit(a, x1) != row_bit(b, x)))
+    return ok
+
+
+def admitted_by_site(a, m, c, L):
+    """No site of row m is flippable between row a below and row c above."""
+    ok = np.ones(np.broadcast(a, m, c).shape, dtype=bool)
+    for x in range(L):
+        left, right = row_bit(m, (x - 1) % L), row_bit(m, (x + 1) % L)
+        below, above = row_bit(a, x), row_bit(c, x)
+        ok &= ~((left == right) & (right == below) & (below == above))
+    return ok
+
+
+@pytest.mark.parametrize("L", [4, 6, 8])
+def test_clean_row_pairs_match_site_definition(L):
+    rows = np.arange(1 << L)
+    want = np.nonzero(clean_by_site(rows[:, None], rows, L))
+    got = fr._clean_row_pairs(L)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_admitted_matches_site_definition_exhaustively_at_L6():
+    a, m, c = np.meshgrid(*[np.arange(1 << 6)] * 3, indexing="ij")
+    assert np.array_equal(fr._admitted(a, m, c, 6), admitted_by_site(a, m, c, 6))
+
+
+@pytest.mark.parametrize("L", [8, 10])
+def test_admitted_matches_site_definition_on_random_triples(L):
+    a, m, c = np.random.default_rng(L).integers(0, 1 << L, size=(3, 200_000))
+    got = fr._admitted(a, m, c, L)
+    assert np.array_equal(got, admitted_by_site(a, m, c, L))
+    assert 0 < got.sum() < len(got)  # both outcomes occur
+
+
+@pytest.mark.parametrize("L", [4, 6, 8, 10])
+def test_transfer_matrix_matches_site_definition(L):
+    rows = np.arange(1 << L)
+    a, b = np.nonzero(clean_by_site(rows[:, None], rows, L))
+    # candidate transitions (a, m) -> (m, c): every pair against every pair
+    # whose first row is m, i.e. the run of pairs starting at first[m]
+    first = np.searchsorted(a, np.arange((1 << L) + 1))
+    n_next = first[b + 1] - first[b]
+    src = np.repeat(np.arange(len(a)), n_next)
+    dst = np.arange(len(src)) - np.repeat(np.cumsum(n_next) - n_next, n_next) \
+        + np.repeat(first[b], n_next)
+    assert np.array_equal(a[dst], b[src])
+    keep = admitted_by_site(a[src], b[src], b[dst], L)
+    want = sp.csr_matrix((np.ones(keep.sum(), dtype=np.int64), (src[keep], dst[keep])),
+                         shape=(len(a), len(a)))
+    got = fr._transfer_matrix(L)
+    for name in ("data", "indices", "indptr"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
 def test_decomposition_partitions_everything(lat, sectors):
