@@ -13,7 +13,9 @@ Three independent routes are provided and cross-checked by the tests:
   intersections), compared against the closed-form count 2^(L+2) - 8.
   code_states lists the code states of the same scan.
 * krylov_decompose: connected components of the move graph (move_graph),
-  the same sparse adjacency that dynamics.build_heff scales by -h.
+  the same sparse adjacency that dynamics.build_heff scales by -h.  The
+  labelling helper connected_components also labels the clock model's
+  sectors in quadflip.
 * count_code_states_transfer: row transfer method for even L up to 12.
   A transfer state is an ordered pair of adjacent rows that is "clean"
   (no plaquette between the rows has CZ = -1); a transition (a,b) -> (b,c)
@@ -141,22 +143,31 @@ def move_graph(lat: Lattice) -> sp.csr_matrix:
     )
 
 
+def connected_components(graph):
+    """Sector of every node of a symmetric adjacency, sectors sorted by smallest node.
+
+    Returns (labels, reps, sizes): labels[i] is the sector of node i, reps[k]
+    the smallest node of sector k and sizes[k] its node count.
+    scipy.sparse.csgraph is imported here rather than with the module: it
+    costs about 25 ms of start-up.
+    """
+    from scipy.sparse.csgraph import connected_components as components
+
+    _, labels = components(graph, directed=False)
+    _, reps, sizes = np.unique(labels, return_index=True, return_counts=True)
+    order = np.argsort(reps)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[labels], reps[order], sizes[order]
+
+
 def krylov_decompose(lat: Lattice):
     """Partition all configurations into Krylov sectors.
 
     Returns the sectors sorted by canonical representative, so repeated runs
     produce byte-identical output.
     """
-    from scipy.sparse.csgraph import connected_components
-
-    n_sectors, labels = connected_components(move_graph(lat), directed=False)
-    n = len(labels)
-    reps = np.full(n_sectors, n, dtype=np.int64)
-    np.minimum.at(reps, labels, np.arange(n, dtype=np.int64))
-    sizes = np.bincount(labels, minlength=n_sectors)
-    order = np.argsort(reps)
-    reps = reps[order]
-    sizes = sizes[order]
+    _, reps, sizes = connected_components(move_graph(lat))
 
     # far fewer syndromes than sectors (3,788 for 24,613 at L = 4): the
     # sectors share one tuple per syndrome, which keeps the list small

@@ -1,32 +1,40 @@
 """m-state clock generalization: link colors under a zero-flux constraint.
 
 Clock digits 0..m-1 live on the 2 L^2 links of an L x L torus.  Around every
-face the links are path-ordered (bottom, right, top, left) and carry the
-alternating signs (+,-,+,-); the flux of color kappa is the signed count of
-kappa-colored boundary links and must vanish for every face and every color.
-Valid configurations are exactly the coverings by monochromatic diagonal
-staircase loops: around each face, the horizontal pair and the vertical pair
-of boundary links realize the same color multiset.
+face the links are path-ordered (bottom, right, top, left) with signs
+(+,-,+,-), and the signed count of every color must vanish.  That holds for
+every color exactly when the multisets {bottom, top} and {right, left} agree,
+one vectorized test per face.  Valid colorings are the coverings by
+monochromatic diagonal staircase loops.
 
-The recoloring move acts on the plaquettes of the 45-degree diamond
-geometry, i.e. the four links incident to one lattice vertex: when all four
-carry the same color they may be recolored together.  Each face adjacent to
-the vertex contains exactly one even-position and one odd-position link of
-the star, so every face flux is conserved: moves acting on the faces
-themselves would violate the constraint (flipping a uniform face at L = 2
-breaks its neighbors), which is why the move cells are the dual plaquettes.
+A coloring is one base-m integer code with link 0 as the most significant
+digit, so integer order is lexicographic order of the digit tuples (the
+order of itertools.product) and representatives, sector order and report
+fields all follow from sorted codes.  The valid colorings are built one link
+column at a time, each face tested once its last link is assigned.
 
-The topological sector label is extracted from the two diagonal winding
-directions: the transverse sequence of colors of monochromatic staircase
-tracks, with mixed tracks dropped and adjacent equal colors merged
-cyclically.  A constant cycle leaves no protected color boundary and reduces
-to the empty label.
+A move recolors the four links at one vertex (a plaquette of the 45-degree
+diamond geometry) when they share a color kappa; it adds
+(target - kappa) * sum_{l in star} m^(n-1-l) to the code.  Each adjacent face
+holds one even- and one odd-position link of the star, so every flux is
+conserved.  The moves form one CSR graph on the valid codes whose connected
+components, labelled as in krylov_decompose, are the sectors.  The global
+color shift is an index permutation; its orbits on sectors are the qudit
+multiplets.
+
+The topological label is read from the two diagonal winding directions: the
+transverse color sequence of monochromatic staircase tracks, mixed tracks
+dropped and equal neighbors merged cyclically (a constant cycle reduces to
+the empty label).  For odd L it is not constant on sectors (at L = 3, m = 2
+both sectors mix three labels), so quadflip_report rejects odd L.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
+import scipy.sparse as sp
+
+from .fragmentation import connected_components
 
 
 @dataclass(frozen=True)
@@ -44,325 +52,225 @@ class ClockLattice:
     tracks_plus: tuple      # per (1,1) diagonal track: its 2L links
     tracks_minus: tuple     # per (1,-1) diagonal track: its 2L links
 
-    @property
-    def n_plaquettes(self):
-        return self.L * self.L
-
-
-def _h(L, x, y):
-    return (y % L) * L + (x % L)
-
-
-def _v(L, x, y):
-    return L * L + (y % L) * L + (x % L)
-
 
 def build_clock_lattice(L):
     if L < 2:
         raise ValueError(f"L must be >= 2, got {L}")
-    plaq = []
-    star = []
-    for y in range(L):
-        for x in range(L):
-            plaq.append((_h(L, x, y), _v(L, x + 1, y), _h(L, x, y + 1), _v(L, x, y)))
-            star.append((_h(L, x, y), _v(L, x, y), _h(L, x - 1, y), _v(L, x, y - 1)))
-    plus = []
-    minus = []
-    for t in range(L):
-        links = []
-        for x in range(L):
-            links.append(_v(L, x, x + t))
-            links.append(_h(L, x, x + t + 1))
-        plus.append(tuple(links))
-        links = []
-        for x in range(L):
-            links.append(_v(L, x, t - x))
-            links.append(_h(L, x, t - x))
-        minus.append(tuple(links))
+
+    def h(x, y):
+        return (y % L) * L + (x % L)
+
+    def v(x, y):
+        return L * L + h(x, y)
+
+    cells = [(x, y) for y in range(L) for x in range(L)]
     return ClockLattice(
         L=L,
         n_links=2 * L * L,
-        plaq_links=tuple(plaq),
-        star_links=tuple(star),
-        tracks_plus=tuple(plus),
-        tracks_minus=tuple(minus),
+        plaq_links=tuple((h(x, y), v(x + 1, y), h(x, y + 1), v(x, y)) for x, y in cells),
+        star_links=tuple((h(x, y), v(x, y), h(x - 1, y), v(x, y - 1)) for x, y in cells),
+        tracks_plus=tuple(
+            tuple(l for x in range(L) for l in (v(x, x + t), h(x, x + t + 1)))
+            for t in range(L)
+        ),
+        tracks_minus=tuple(
+            tuple(l for x in range(L) for l in (v(x, t - x), h(x, t - x)))
+            for t in range(L)
+        ),
     )
-
-
-def flux_density(cfg, lat, p, kappa):
-    """Signed count of kappa along the face's path-ordered boundary."""
-    links = lat.plaq_links[p]
-    return (
-        (cfg[links[0]] == kappa)
-        - (cfg[links[1]] == kappa)
-        + (cfg[links[2]] == kappa)
-        - (cfg[links[3]] == kappa)
-    )
-
-
-def is_valid(cfg, lat, m):
-    """Zero flux for every face and every color."""
-    for p in range(lat.n_plaquettes):
-        for kappa in range(m):
-            if flux_density(cfg, lat, p, kappa) != 0:
-                return False
-    return True
-
-
-def global_shift(cfg, k, m):
-    """Cycle every link color by +k mod m."""
-    return tuple((d + k) % m for d in cfg)
-
-
-def legal_moves(cfg, lat, m):
-    """Recoloring moves: (cell, kappa, kappa') per monochromatic move cell.
-
-    A cell is a plaquette of the diamond geometry, indexed by the lattice
-    vertex whose four incident links form its boundary.
-    """
-    moves = []
-    for cell, links in enumerate(lat.star_links):
-        kappa = cfg[links[0]]
-        if all(cfg[l] == kappa for l in links[1:]):
-            for target in range(m):
-                if target != kappa:
-                    moves.append((cell, kappa, target))
-    return moves
-
-
-def apply_move(cfg, lat, cell, target):
-    out = list(cfg)
-    for l in lat.star_links[cell]:
-        out[l] = target
-    return tuple(out)
 
 
 def enumerate_valid(L, m):
-    """All valid configurations, lexicographically sorted."""
+    """The lattice and the valid colorings as an (n, n_links) uint8 array in code order."""
     lat = build_clock_lattice(L)
-    raw = m ** (2 * L * L)
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
+    raw = m ** lat.n_links
     if raw > 1 << 20:
         raise ValueError(f"exhaustive scan of {raw} link assignments is too large")
-    return lat, [c for c in product(range(m), repeat=2 * L * L) if is_valid(c, lat, m)]
+    faces = np.array(lat.plaq_links)
+    last = faces.max(axis=1)
+    colors = np.arange(m, dtype=np.uint8)
+    digits = np.zeros((1, 0), dtype=np.uint8)
+    for col in range(lat.n_links):
+        digits = np.column_stack([np.repeat(digits, m, axis=0), np.tile(colors, len(digits))])
+        for b, r, t, l in faces[last == col]:
+            d = digits
+            digits = d[(d[:, b] == d[:, r]) & (d[:, t] == d[:, l])
+                       | (d[:, b] == d[:, l]) & (d[:, t] == d[:, r])]
+    return lat, digits
+
+
+def _index_of(codes, targets):
+    """Positions of target codes among the sorted valid codes, which must hold them all."""
+    idx = np.searchsorted(codes, targets)
+    if not np.array_equal(codes[np.minimum(idx, len(codes) - 1)], targets):
+        raise RuntimeError("a move or the color shift left the valid colorings")
+    return idx
+
+
+def move_graph(lat, digits, m):
+    """Unit-weight CSR adjacency of the recoloring moves on the valid colorings.
+
+    Row i holds 1.0 at every coloring one star recoloring reaches from i;
+    the reverse move is legal too, so the matrix is symmetric.
+    """
+    place = m ** np.arange(lat.n_links - 1, -1, -1, dtype=np.int64)
+    codes = digits.astype(np.int64) @ place
+    rows, cols = [], []
+    for star in lat.star_links:
+        src = np.flatnonzero((digits[:, star] == digits[:, star[:1]]).all(axis=1))
+        kappa = digits[src, star[0]].astype(np.int64)
+        for step in range(1, m):
+            delta = (kappa + step) % m - kappa
+            rows.append(src)
+            cols.append(_index_of(codes, codes[src] + delta * place[list(star)].sum()))
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(codes),) * 2)
 
 
 @dataclass(frozen=True)
-class ClockSector:
-    """Connected component of the recoloring-move graph on valid configs."""
+class ClockSectors:
+    """Sectors of the recoloring-move graph over the valid colorings."""
 
-    representative: tuple
-    size: int
-    members: tuple  # sorted
+    m: int
+    digits: np.ndarray  # (n, n_links) uint8 valid colorings in code order
+    labels: np.ndarray  # per coloring: its sector; sectors sorted by representative
+    reps: np.ndarray    # per sector: index of its smallest member
+    sizes: np.ndarray   # per sector: member count
+    shift: np.ndarray   # per coloring: index of its image under the +1 color shift
 
 
 def krylov_decompose_quadflip(L, m=3):
     """Exhaustive sector decomposition of the valid configuration space."""
-    lat, valid = enumerate_valid(L, m)
-    unvisited = set(valid)
-    sectors = []
-    for cfg in valid:  # lexicographic order makes the output deterministic
-        if cfg not in unvisited:
-            continue
-        component = {cfg}
-        frontier = [cfg]
-        while frontier:
-            cur = frontier.pop()
-            for cell, _, target in legal_moves(cur, lat, m):
-                nxt = apply_move(cur, lat, cell, target)
-                if nxt not in component:
-                    component.add(nxt)
-                    frontier.append(nxt)
-        unvisited -= component
-        members = tuple(sorted(component))
-        sectors.append(
-            ClockSector(representative=members[0], size=len(members), members=members)
-        )
-    sectors.sort(key=lambda s: s.representative)
-    return lat, sectors
+    lat, digits = enumerate_valid(L, m)
+    labels, reps, sizes = connected_components(move_graph(lat, digits, m))
+    place = m ** np.arange(lat.n_links - 1, -1, -1, dtype=np.int64)
+    codes = digits.astype(np.int64) @ place
+    shift = _index_of(codes, ((digits + 1) % m).astype(np.int64) @ place)
+    return lat, ClockSectors(m, digits, labels, reps, sizes, shift)
 
 
-@dataclass(frozen=True)
-class QuditMultiplet:
-    """Shift orbit of sectors ordered so the global shift maps k to k+1."""
+def find_multiplets(sectors):
+    """Group sectors into shift orbits, each a tuple ordered so the shift maps k to k+1.
 
-    sector_indices: tuple  # indices into the sector list, length = orbit size
-    member_sets: tuple     # per orbit position: frozenset of config tuples
-
-
-def find_multiplets(sectors, m):
-    """Group sectors into shift orbits.
-
-    Returns (multiplets, symmetric_sector_indices).  For prime m any orbit
-    size other than 1 or m is a structural failure; for composite m the
-    size must divide m.
+    Returns (multiplets, symmetric_sector_indices).  An orbit size other than
+    1 or m for prime m, or not dividing m otherwise, is a structural failure.
     """
-    member_to_sector = {}
-    for k, s in enumerate(sectors):
-        for c in s.members:
-            member_to_sector[c] = k
-
-    prime = m >= 2 and all(m % d for d in range(2, m))
+    m = sectors.m
+    nxt = sectors.labels[sectors.shift[sectors.reps]].tolist()
+    prime = all(m % d for d in range(2, m))
     seen = set()
     multiplets = []
     symmetric = []
-    for k, s in enumerate(sectors):
+    for k in range(len(nxt)):
         if k in seen:
             continue
         orbit = [k]
-        cur = k
-        while True:
-            shifted = global_shift(sectors[cur].representative, 1, m)
-            nxt = member_to_sector[shifted]
-            if nxt == k:
-                break
-            orbit.append(nxt)
-            cur = nxt
+        while nxt[orbit[-1]] != k and len(orbit) <= m:  # the shift's m-th power is 1
+            orbit.append(nxt[orbit[-1]])
         seen |= set(orbit)
         if len(orbit) == 1:
             symmetric.append(k)
-            continue
-        ok = (len(orbit) == m) if prime else (m % len(orbit) == 0)
-        if not ok:
-            raise RuntimeError(
-                f"shift orbit of sector {k} has size {len(orbit)} "
-                f"(m = {m}); representatives: "
-                f"{[sectors[j].representative for j in orbit]}"
-            )
-        sizes = {sectors[j].size for j in orbit}
-        if len(sizes) != 1:
-            raise RuntimeError(f"orbit of sector {k} has unequal sizes {sizes}")
-        member_sets = tuple(frozenset(sectors[j].members) for j in orbit)
-        multiplets.append(
-            QuditMultiplet(sector_indices=tuple(orbit), member_sets=member_sets)
-        )
+        elif not ((len(orbit) == m) if prime else (m % len(orbit) == 0)):
+            raise RuntimeError(f"shift orbit {orbit} has size {len(orbit)} (m = {m})")
+        elif len(set(sectors.sizes[orbit].tolist())) != 1:
+            raise RuntimeError(f"shift orbit {orbit} has unequal sector sizes")
+        else:
+            multiplets.append(tuple(orbit))
     return multiplets, symmetric
 
 
-def qudit_logicals(multiplet, m, valid_configs):
-    """Logical I, Z, X over the valid-config basis for one multiplet.
+def qudit_logicals(orbit, sectors):
+    """Logical I, Z, X over the valid-coloring basis for one multiplet.
 
     Z applies the phase omega^k on the k-th orbit sector; X is the global
     shift permutation restricted to the multiplet support, which maps the
     k-th sector onto the (k+1)-st, so Z X = omega X Z and X^m = Z^m = I on
     the support.
     """
-    index = {c: i for i, c in enumerate(valid_configs)}
-    dim = len(valid_configs)
-    omega = np.exp(2j * np.pi / m)
-    ident = np.zeros((dim, dim), dtype=complex)
-    zmat = np.zeros((dim, dim), dtype=complex)
-    xmat = np.zeros((dim, dim), dtype=complex)
-    n = len(multiplet.member_sets)
-    for k, members in enumerate(multiplet.member_sets):
-        for c in members:
-            i = index[c]
-            ident[i, i] = 1.0
-            zmat[i, i] = omega ** k
-            shifted = global_shift(c, 1, m)
-            xmat[index[shifted], i] = 1.0
-    return {"I": ident, "Z": zmat, "X": xmat}
+    omega = np.exp(2j * np.pi / sectors.m)
+    position = np.full(len(sectors.sizes), -1)
+    position[list(orbit)] = range(len(orbit))
+    k = position[sectors.labels]  # orbit position of each coloring, -1 off it
+    support = np.flatnonzero(k >= 0)
+    ops = {name: np.zeros((len(k),) * 2, dtype=complex) for name in "IZX"}
+    ops["I"][support, support] = 1.0
+    ops["Z"][support, support] = [omega ** j for j in k[support].tolist()]
+    ops["X"][sectors.shift[support], support] = 1.0
+    return ops
 
 
-def verify_qudit_algebra(multiplet, m, valid_configs):
+def verify_qudit_algebra(orbit, sectors):
     """Max-abs residuals of Z^m = X^m = I and ZX = omega XZ on the support."""
-    ops = qudit_logicals(multiplet, m, valid_configs)
+    m = sectors.m
+    ops = qudit_logicals(orbit, sectors)
     omega = np.exp(2j * np.pi / m)
     zp = np.linalg.matrix_power(ops["Z"], m)
     xp = np.linalg.matrix_power(ops["X"], m)
     return {
         "Z_power": float(np.abs(zp - ops["I"]).max()),
         "X_power": float(np.abs(xp - ops["I"]).max()),
-        "ZX_commutation": float(
-            np.abs(ops["Z"] @ ops["X"] - omega * ops["X"] @ ops["Z"]).max()
-        ),
+        "ZX_commutation": float(np.abs(ops["Z"] @ ops["X"] - omega * ops["X"] @ ops["Z"]).max()),
     }
 
 
-# ---------------------------------------------------------------------------
-# loop-sequence topological label
-
-
-def _track_color(cfg, links):
-    colors = {cfg[l] for l in links}
-    return colors.pop() if len(colors) == 1 else None
-
-
 def _reduce_cyclic(colors):
-    """Drop mixed tracks, merge adjacent equal colors cyclically.
+    """Drop mixed tracks (None), merge cyclically adjacent equal colors, least rotation.
 
     A cycle that ends up constant has no protected color boundary left and
     reduces to the empty label.
     """
     seq = [c for c in colors if c is not None]
-    if not seq:
-        return ()
-    out = [seq[0]]
-    for c in seq[1:]:
-        if c != out[-1]:
-            out.append(c)
-    while len(out) > 1 and out[-1] == out[0]:
-        out.pop()
-    if len(out) == 1:
-        return ()
-    rotations = [tuple(out[k:] + out[:k]) for k in range(len(out))]
-    return min(rotations)
+    runs = [c for i, c in enumerate(seq) if c != seq[i - 1]]  # seq[-1] precedes seq[0]
+    return min((tuple(runs[k:] + runs[:k]) for k in range(len(runs))), default=())
 
 
 def loop_invariant(cfg, lat):
     """Canonical pair of reduced diagonal loop-color sequences."""
-    plus = _reduce_cyclic([_track_color(cfg, t) for t in lat.tracks_plus])
-    minus = _reduce_cyclic([_track_color(cfg, t) for t in lat.tracks_minus])
-    return (plus, minus)
 
+    def track_colors(tracks):
+        return [cfg[t[0]] if len({cfg[l] for l in t}) == 1 else None for t in tracks]
 
-# ---------------------------------------------------------------------------
-# assembled report
+    return (_reduce_cyclic(track_colors(lat.tracks_plus)),
+            _reduce_cyclic(track_colors(lat.tracks_minus)))
 
 
 def quadflip_report(L, m=3):
-    """Full decomposition summary used by the command-line interface."""
+    """Full decomposition summary used by the command-line interface (even L)."""
+    if L % 2:
+        raise ValueError(f"L = {L} is odd: the loop-sequence label is a sector "
+                         "invariant only for even L")
     lat, sectors = krylov_decompose_quadflip(L, m)
-    valid = sorted(set().union(*(s.members for s in sectors))) if sectors else []
-    multiplets, symmetric = find_multiplets(sectors, m)
+    multiplets, symmetric = find_multiplets(sectors)
 
-    labels = [loop_invariant(s.representative, lat) for s in sectors]
-    violations = 0
-    for s, label in zip(sectors, labels):
-        for c in s.members:
-            if loop_invariant(c, lat) != label:
-                violations += 1
+    member_labels = [loop_invariant(row, lat) for row in sectors.digits.tolist()]
+    labels = [member_labels[i] for i in sectors.reps]
+    violations = sum(
+        label != labels[k] for label, k in zip(member_labels, sectors.labels.tolist())
+    )
 
     residuals = {"Z_power": 0.0, "X_power": 0.0, "ZX_commutation": 0.0}
     entries = []
-    for mult in multiplets:
-        res = verify_qudit_algebra(mult, m, valid)
-        for key in residuals:
-            residuals[key] = max(residuals[key], res[key])
-        entries.append(
-            {
-                "orbit_size": len(mult.sector_indices),
-                "sector_sizes": [sectors[k].size for k in mult.sector_indices],
-                "invariant_labels": [
-                    _label_json(labels[k]) for k in mult.sector_indices
-                ],
-            }
-        )
+    for orbit in multiplets:
+        res = verify_qudit_algebra(orbit, sectors)
+        residuals = {key: max(value, res[key]) for key, value in residuals.items()}
+        entries.append({
+            "orbit_size": len(orbit),
+            "sector_sizes": sectors.sizes[list(orbit)].tolist(),
+            "invariant_labels": [[list(part) for part in labels[k]] for k in orbit],
+        })
     return {
         "L": L,
         "m": m,
-        "valid_count": len(valid),
-        "sector_count": len(sectors),
+        "valid_count": len(sectors.digits),
+        "sector_count": len(sectors.sizes),
         "symmetric_sector_count": len(symmetric),
         "multiplet_count": len(multiplets),
-        "orbit_sizes": sorted(
-            {len(mu.sector_indices) for mu in multiplets} | ({1} if symmetric else set())
-        ),
+        "orbit_sizes": sorted({len(o) for o in multiplets} | ({1} if symmetric else set())),
         "multiplets": entries,
         "distinct_labels": len(set(labels)),
         "label_violations": violations,
         "algebra_residuals": residuals,
     }
-
-
-def _label_json(label):
-    return [list(part) for part in label]

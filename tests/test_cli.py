@@ -111,6 +111,30 @@ def test_quadflip_json(capsys):
     assert report["label_violations"] == 0
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_quadflip_matches_golden(capsys, m):
+    # the residuals are floats near 1e-16, so they are bounded, not pinned
+    code, out = run_cli(capsys, "quadflip", "--L", "2", "--m", str(m))
+    assert code == 0
+    report = json.loads(out)
+    residuals = report.pop("algebra_residuals")
+    assert set(residuals) == {"Z_power", "X_power", "ZX_commutation"}
+    assert max(residuals.values()) <= 1e-12
+    assert report == json.loads((GOLDEN / f"quadflip_L2_m{m}.json").read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ("--L", "2", "--m", "0"),
+    ("--L", "2", "--m", "1"),
+    ("--L", "2", "--m", "-1"),
+    ("--L", "3", "--m", "2"),  # odd L: the loop label is no sector invariant
+])
+def test_quadflip_outside_contract_exits_2(capsys, argv):
+    code, out = run_cli(capsys, "quadflip", *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_out_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(capsys, "frozen-count", "--L", "4", "--method", "brute",

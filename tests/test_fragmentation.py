@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -418,3 +422,27 @@ def test_decomposition_matches_label_propagation_oracle(sectors):
     reps, sizes = np.unique(labels, return_counts=True)
     oracle = list(zip(reps.tolist(), sizes.tolist()))
     assert oracle == [(s.representative, s.size) for s in sectors]
+
+
+def test_import_leaves_csgraph_unloaded():
+    # connected_components imports scipy.sparse.csgraph on first use: eagerly
+    # it would add about 25 ms to every start-up
+    code = (
+        "import sys, fragmenta, fragmenta.quadflip, fragmenta.cli; "
+        "print('scipy.sparse.csgraph' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def test_connected_components_sorted_by_smallest_node():
+    # path 0-3, path 1-2-4; node 5 alone
+    rows = [0, 3, 1, 2, 2, 4]
+    cols = [3, 0, 2, 1, 4, 2]
+    graph = sp.csr_matrix((np.ones(6), (rows, cols)), shape=(6, 6))
+    labels, reps, sizes = fr.connected_components(graph)
+    assert labels.tolist() == [0, 1, 1, 0, 1, 2]
+    assert reps.tolist() == [0, 1, 5]
+    assert sizes.tolist() == [2, 3, 1]
