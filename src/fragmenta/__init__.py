@@ -21,6 +21,8 @@ from .fragmentation import (
 from .encoding import (
     LogicalBlock,
     LogicalOperator,
+    block_tomography,
+    embed_block_operator,
     enumerate_blocks,
     logical_operator,
     logical_state,

@@ -58,14 +58,13 @@ computed at 1/|G| of the size.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from . import config as cfgmod
-from .encoding import DEFAULT_PROBE, logical_state, logical_tomography
+from .encoding import DEFAULT_PROBE, block_tomography, logical_state
 from .fragmentation import move_graph
 
 PERTURBATION_KINDS = (
@@ -171,22 +170,25 @@ def _diagonal_operator(diag):
     return _csr([diag], [idx], [idx], len(diag))
 
 
-def _conjugate_by_xor(matrix, xor_mask, dim):
-    coo = matrix.tocoo()
-    rows = coo.row ^ xor_mask
-    cols = coo.col ^ xor_mask
-    return sp.csr_matrix((coo.data, (rows, cols)), shape=(dim, dim))
-
-
-def _commutes_with_toggle(matrix, xor_mask, dim):
-    diff = matrix - _conjugate_by_xor(matrix, xor_mask, dim)
-    diff.eliminate_zeros()
-    return diff.nnz == 0
-
-
 def _diagonal_commutes_with_toggle(diag, xor_mask):
-    """_commutes_with_toggle for a diagonal operator, without conjugating it."""
+    """Whether the diagonal operator commutes with the toggle: diag[x] == diag[x ^ mask]."""
     return np.array_equal(diag, diag[np.arange(len(diag)) ^ xor_mask])
+
+
+def _is_uniform_flip_sum(data, rows, cols, dim):
+    """Whether the per-site COO blocks (_single_flips) sum to w sum_i X_i.
+
+    Block i must hold one entry per configuration, in row order, flip bit i
+    and carry the one weight w.  Such an operator commutes with every XOR
+    toggle.  The converse does not hold: this test can reject a symmetric
+    operator, but it accepts no other.
+    """
+    every = np.arange(dim)
+    w = data[0][0]
+    return all(
+        np.array_equal(r, every) and np.array_equal(c, every ^ (1 << i)) and np.all(d == w)
+        for i, (d, r, c) in enumerate(zip(data, rows, cols))
+    )
 
 
 def build_perturbation(lat, kind, lam, seed=0):
@@ -194,16 +196,19 @@ def build_perturbation(lat, kind, lam, seed=0):
 
     Symmetry is verified at build time, on the unit-strength operator so
     that lam = 0 passes too: the sym_ kinds must commute with both sublattice
-    toggles exactly (diagonal kinds: diag[x] == diag[x ^ mask]), the break_
-    kinds must not.  The sym_ kinds record both toggles.
+    toggles exactly, the break_ kinds must not.  The diagonal kinds are
+    checked by diag[x] == diag[x ^ mask], the transverse field by its
+    structure (every site block flips its own bit, at one weight).  The sym_
+    kinds record both toggles.
     """
     _check_finite(lam=lam)
     cfgs = cfgmod.config_range(lat.n_sites)
     dim = len(cfgs)
 
     if kind == "sym_transverse":
-        matrix = _csr(*_single_flips(lat, cfgs, 1.0), dim)
-        commutes = partial(_commutes_with_toggle, matrix, dim=dim)
+        parts = _single_flips(lat, cfgs, 1.0)
+        matrix = _csr(*parts, dim)
+        symmetric = _is_uniform_flip_sum(*parts, dim)
     elif kind in PERTURBATION_KINDS:
         diag = np.zeros(dim, dtype=np.float64)
         if kind == "break_longitudinal_random":
@@ -221,11 +226,10 @@ def build_perturbation(lat, kind, lam, seed=0):
                     j = lat.site_index(x + dx, y + dy)
                     diag += _z_values(cfgs, i) * _z_values(cfgs, j)
         matrix = _diagonal_operator(diag)
-        commutes = partial(_diagonal_commutes_with_toggle, diag)
+        symmetric = all(_diagonal_commutes_with_toggle(diag, m) for m in (lat.mask_a, lat.mask_b))
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
 
-    symmetric = commutes(lat.mask_a) and commutes(lat.mask_b)
     expected = kind.startswith("sym_")
     if symmetric != expected:
         raise AssertionError(
@@ -592,11 +596,7 @@ def coherence_experiment(block, op, times, tol=1e-10, initial=None):
     values, counters = _propagate(op, psi0, times, tol, rows)
     values[0] = psi0[rows]  # exact at t = 0, free of the probe's rounding
     fidelity = np.abs(values @ psi0[rows].conj())
-    state = np.zeros(block.dimension, dtype=complex)
-    tomography = []
-    for amps in values[:, np.searchsorted(rows, members)]:
-        state[members] = amps
-        tomography.append(logical_tomography(state, block))
+    tomography = [block_tomography(amps) for amps in values[:, np.searchsorted(rows, members)]]
     return CoherenceSeries(
         times=times,
         tomography=tuple(tomography),

@@ -7,13 +7,14 @@ canonical representative alpha fixes the (0,0) corner and the member with
 labels (sigma_A, sigma_B) is alpha with the corresponding sublattice masks
 XORed in.
 
-Logical operators are realized as sparse operators on the full 2^(L^2) space
-built from rank-1 projectors and the sublattice toggle permutations.  For
-sublattice s the anticommutator/commutator constructions are applied to the
-orbit-summed projector P = |alpha><alpha| + X_sbar |alpha><alpha| X_sbar
-(sbar the other sublattice); this extends each single-qubit operator over
-the partner qubit's two states, which is what makes the A and B algebras
-commute and gives every operator at most four nonzero matrix elements.
+Everything in the logical layer is held on the four members, in
+MEMBER_LABELS order.  A logical operator is the 4 x 4 matrix kind_a (x)
+kind_b from one table, with the identity on the partner qubit, so the A
+and B algebras commute and no operator has an entry off its block.
+embed_block_operator places such a matrix in the full 2^(L^2) space, where
+the block projector is checked; tomography reads the four amplitudes.  The
+tests compare every operator with the full-space construction from rank-1
+projectors and the toggle permutations.
 """
 
 from dataclasses import dataclass
@@ -34,8 +35,11 @@ _PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-# kind_a (x) kind_b on the four members, built once for every Pauli pair
+# kind_a (x) kind_b on the four members, built once for every Pauli pair;
+# read-only, since logical_operator hands these arrays out
 _TWO_QUBIT = {(ka, kb): np.kron(_PAULI[ka], _PAULI[kb]) for ka in _PAULI for kb in _PAULI}
+for _m in _TWO_QUBIT.values():
+    _m.flags.writeable = False
 # the two-qubit observables logical_tomography reports, in output order
 _TOMOGRAPHY = {
     "X_A": _TWO_QUBIT["X", "I"], "Y_A": _TWO_QUBIT["Y", "I"], "Z_A": _TWO_QUBIT["Z", "I"],
@@ -79,7 +83,7 @@ class LogicalOperator:
     block: LogicalBlock
     sublattice: str  # "A" or "B"
     kind: str        # "I", "X", "Y" or "Z"
-    matrix: sp.csr_matrix
+    matrix: np.ndarray  # 4 x 4 on block.members, MEMBER_LABELS order
 
 
 def symmetry_orbit(cfg, lat):
@@ -117,42 +121,29 @@ def enumerate_blocks(lat):
     return blocks
 
 
-def _block_op_matrix(block, kind_a, kind_b):
-    """Sparse full-space operator acting as kind_a (x) kind_b on the block."""
-    small = _TWO_QUBIT[kind_a, kind_b]
-    members = block.members
-    rows, cols, vals = [], [], []
-    for r in range(4):
-        for c in range(4):
-            v = small[r, c]
-            if v != 0:
-                rows.append(members[r])
-                cols.append(members[c])
-                vals.append(v)
+def embed_block_operator(block, small):
+    """Sparse full-space operator acting as the 4 x 4 `small` on block.members."""
+    members = np.array(block.members)
+    r, c = np.nonzero(small)
     dim = block.dimension
     return sp.csr_matrix(
-        (np.array(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
+        (np.asarray(small, dtype=complex)[r, c], (members[r], members[c])), shape=(dim, dim)
     )
 
 
 def logical_operator(block, sublattice, kind):
-    """Logical I/X/Y/Z for one sublattice qubit as a sparse operator.
+    """Logical I/X/Y/Z for one sublattice qubit, as a 4 x 4 matrix on the block.
 
-    I is the rank-4 block projector (independent of sublattice); X, Y, Z act
-    on the chosen qubit and as identity on the partner qubit, so each matrix
-    has at most four nonzero elements.
+    I is the block identity (independent of sublattice); X, Y, Z act on the
+    chosen qubit and as identity on the partner qubit.
     """
     if sublattice not in ("A", "B"):
         raise ValueError(f"sublattice must be 'A' or 'B', got {sublattice!r}")
     if kind not in _PAULI:
         raise ValueError(f"kind must be one of I, X, Y, Z, got {kind!r}")
-    if kind == "I":
-        matrix = _block_op_matrix(block, "I", "I")
-    elif sublattice == "A":
-        matrix = _block_op_matrix(block, kind, "I")
-    else:
-        matrix = _block_op_matrix(block, "I", kind)
-    return LogicalOperator(block=block, sublattice=sublattice, kind=kind, matrix=matrix)
+    pair = (kind, "I") if sublattice == "A" else ("I", kind)
+    return LogicalOperator(block=block, sublattice=sublattice, kind=kind,
+                           matrix=_TWO_QUBIT[pair])
 
 
 def _max_abs(matrix):
@@ -160,49 +151,27 @@ def _max_abs(matrix):
     return float(abs(matrix).max())
 
 
-def _restrict_to_block(matrix, members):
-    """Dense members x members restriction of a full-space sparse operator.
-
-    Raises ValueError if the operator has a nonzero anywhere else, since
-    identities checked on the restriction could not see it.
-    """
-    matrix = matrix.tocsr()
-    small = np.zeros((4, 4), dtype=complex)
-    placed = 0
-    for i, r in enumerate(members):
-        span = slice(matrix.indptr[r], matrix.indptr[r + 1])
-        for c, v in zip(matrix.indices[span].tolist(), matrix.data[span].tolist()):
-            if v != 0 and c in members:
-                small[i, members.index(c)] += v
-                placed += 1
-    if placed != np.count_nonzero(matrix.data):
-        raise ValueError("logical operator has entries outside its block")
-    return small
-
-
 def verify_pauli_algebra(block):
     """Exact operator identities for one block; returns {check: residual}.
 
-    Every operator must vanish outside members x members (checked), so the
-    identities are evaluated on the dense 4 x 4 restrictions; the block
-    projector itself is compared on the full space.  All residuals are
-    max-abs entries of differences and are expected to be exactly zero: the
-    operators have entries in {0, +-1, +-i} and the products stay exact in
-    floating point.
+    The identities are evaluated on the 4 x 4 matrices; the block identity
+    is also embedded and compared with the rank-4 projector on the members.
+    All residuals are max-abs entries of differences and are expected to be
+    exactly zero: the operators have entries in {0, +-1, +-i} and the
+    products stay exact in floating point.
     """
-    members = list(block.members)
-    full = {
+    ops = {
         (s, k): logical_operator(block, s, k).matrix
         for s in ("A", "B")
         for k in ("I", "X", "Y", "Z")
     }
-    ops = {key: _restrict_to_block(m, members) for key, m in full.items()}
     ident = ops[("A", "I")]
     residuals = {}
 
+    members = list(block.members)
     dim = block.dimension
     proj = sp.csr_matrix((np.ones(4), (members, members)), shape=(dim, dim), dtype=complex)
-    residuals["identity_is_block_projector"] = _max_abs(full[("A", "I")] - proj)
+    residuals["identity_is_block_projector"] = _max_abs(embed_block_operator(block, ident) - proj)
     residuals["identity_squares"] = _max_abs(ident @ ident - ident)
     residuals["identity_sublattice_independent"] = _max_abs(ident - ops[("B", "I")])
 
@@ -246,15 +215,23 @@ def block_amplitudes(state, block):
     return np.array([state[m] for m in block.members], dtype=complex)
 
 
-def logical_tomography(state, block):
-    """Logical expectation values of a normalized dense state.
+def block_tomography(amplitudes):
+    """Logical expectation values of the four block amplitudes (MEMBER_LABELS order).
 
-    Returns the six single-qubit expectations, four two-qubit correlators
-    and the block population <I>.  All operators vanish outside the block,
-    so everything is computed from the four in-block amplitudes.
+    Returns the block population <I>, the six single-qubit expectations and
+    four two-qubit correlators.
     """
-    c = block_amplitudes(state, block)
+    c = np.asarray(amplitudes, dtype=complex)
     out = {"population": float(np.vdot(c, c).real)}
     for key, m in _TOMOGRAPHY.items():
         out[key] = float(np.vdot(c, m @ c).real)
     return out
+
+
+def logical_tomography(state, block):
+    """block_tomography of a normalized dense state's four in-block amplitudes.
+
+    All logical operators vanish outside the block, so nothing else of the
+    state enters.
+    """
+    return block_tomography(block_amplitudes(state, block))

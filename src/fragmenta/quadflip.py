@@ -183,29 +183,31 @@ def find_multiplets(sectors):
 
 
 def qudit_logicals(orbit, sectors):
-    """Logical I, Z, X over the valid-coloring basis for one multiplet.
+    """Logical I, Z, X of one multiplet, on its support.
 
-    Z applies the phase omega^k on the k-th orbit sector; X is the global
-    shift permutation restricted to the multiplet support, which maps the
-    k-th sector onto the (k+1)-st, so Z X = omega X Z and X^m = Z^m = I on
-    the support.
+    Returns (support, ops): support holds the indices of the multiplet's
+    valid colorings in ascending order, and each op is a square matrix over
+    them.  Z applies the phase omega^k on the k-th orbit sector; X is the
+    global shift permutation, which maps the k-th sector onto the (k+1)-st,
+    so Z X = omega X Z and X^m = Z^m = I.
     """
     omega = np.exp(2j * np.pi / sectors.m)
     position = np.full(len(sectors.sizes), -1)
     position[list(orbit)] = range(len(orbit))
     k = position[sectors.labels]  # orbit position of each coloring, -1 off it
     support = np.flatnonzero(k >= 0)
-    ops = {name: np.zeros((len(k),) * 2, dtype=complex) for name in "IZX"}
-    ops["I"][support, support] = 1.0
-    ops["Z"][support, support] = [omega ** j for j in k[support].tolist()]
-    ops["X"][sectors.shift[support], support] = 1.0
-    return ops
+    idx = np.arange(len(support))
+    ops = {name: np.zeros((len(support),) * 2, dtype=complex) for name in "IZX"}
+    ops["I"][idx, idx] = 1.0
+    ops["Z"][idx, idx] = [omega ** j for j in k[support].tolist()]
+    ops["X"][np.searchsorted(support, sectors.shift[support]), idx] = 1.0
+    return support, ops
 
 
 def verify_qudit_algebra(orbit, sectors):
     """Max-abs residuals of Z^m = X^m = I and ZX = omega XZ on the support."""
     m = sectors.m
-    ops = qudit_logicals(orbit, sectors)
+    _, ops = qudit_logicals(orbit, sectors)
     omega = np.exp(2j * np.pi / m)
     zp = np.linalg.matrix_power(ops["Z"], m)
     xp = np.linalg.matrix_power(ops["X"], m)

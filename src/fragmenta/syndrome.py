@@ -10,9 +10,10 @@ flips the sign of the logical X coherence: detectable asymmetry in one
 direction only, which is what rules this encoding out as an error
 correcting code.
 
-inject_pauli acts on the view state.reshape(-1, 2, 2**site), whose middle
-axis is the bit of the hit site, so it builds no index array over the full
-space.
+Errors act on a support (configs, amplitudes): the basis states a state
+occupies and their amplitudes.  A single-site Pauli maps it to a support of
+the same length, so the detection probe, two amplitudes on its block, is
+hit, read out and tomographed on two configurations.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as cfgmod
-from .encoding import DEFAULT_PROBE, logical_state, logical_tomography
+from .encoding import DEFAULT_PROBE, block_tomography
 
 
 @dataclass(frozen=True)
@@ -38,30 +39,30 @@ class SyndromeResult:
 
 
 def extract_syndrome(state_or_cfg, lat, tol=1e-12):
-    """Stabilizer signs of a configuration or of a dense state vector.
+    """Stabilizer signs of a configuration, a support or a dense state vector.
 
-    A state vector must have every basis state in its support share one
+    A support is a tuple (configs, amplitudes); a dense vector's support is
+    its nonzero entries and a configuration's is itself.  Amplitudes with
+    |c|^2 <= tol are dropped.  Every basis state left must share one
     stabilizer pattern (true for code states and their X/Z-error
     descendants); otherwise the per-plaquette expectation values are
     returned with uniform=False rather than silently averaged.
     """
     if isinstance(state_or_cfg, (int, np.integer)):
-        cfg = int(state_or_cfg)
-        if not 0 <= cfg < 1 << lat.n_sites:
-            raise ValueError(f"configuration {cfg} is outside [0, 2**{lat.n_sites})")
-        signs = cfgmod.stabilizer_signs(np.array([cfg], dtype=np.uint64), lat)[0]
-        return SyndromeResult(
-            uniform=True,
-            signs=tuple(int(s) for s in signs),
-            expectations=tuple(float(s) for s in signs),
-        )
-
-    state = np.asarray(state_or_cfg)
-    # astype(bool) marks what nonzero() marks, several times faster on complex
-    nonzero = np.flatnonzero(state.astype(bool))
-    weights = np.abs(state[nonzero]) ** 2
+        configs, amplitudes = np.array([int(state_or_cfg)]), np.ones(1)
+    elif isinstance(state_or_cfg, tuple):
+        configs, amplitudes = map(np.asarray, state_or_cfg)
+    else:
+        state = np.asarray(state_or_cfg)
+        # astype(bool) marks what nonzero() marks, several times faster on complex
+        configs = np.flatnonzero(state.astype(bool))
+        amplitudes = state[configs]
+    outside = configs[(configs < 0) | (configs >= 1 << lat.n_sites)]
+    if len(outside):
+        raise ValueError(f"configuration {outside[0]} is outside [0, 2**{lat.n_sites})")
+    weights = np.abs(amplitudes) ** 2
     keep = weights > tol
-    support, w = nonzero[keep], weights[keep]
+    support, w = configs[keep], weights[keep]
     if len(support) == 0:
         raise ValueError("state has empty support")
     patterns = cfgmod.stabilizer_signs(support.astype(np.uint64), lat)
@@ -81,27 +82,23 @@ def extract_syndrome(state_or_cfg, lat, tol=1e-12):
     )
 
 
-def inject_pauli(state, site, pauli):
-    """Apply a single-site Pauli to a dense state vector.
+def inject_pauli(support, site, pauli):
+    """Apply a single-site Pauli to a support (configs, amplitudes).
 
-    Viewed as state.reshape(-1, 2, 2**site), the middle axis is the bit of
-    `site`: X swaps its two halves, Z negates the upper half, and
-    Y = i X Z does both in one pass with the factors -i and +i.
+    X flips the bit of `site`, Z multiplies by -1 where it is set and
+    Y = i X Z does both, with the factor +i where the bit was 0 and -i
+    where it was 1.  Returns the new (configs, amplitudes).
     """
     if pauli not in ("X", "Y", "Z"):
         raise ValueError(f"pauli must be X, Y or Z, got {pauli!r}")
-    halves = np.asarray(state).reshape(-1, 2, 1 << site)
-    if pauli == "X":
-        return halves[:, ::-1].reshape(-1)
+    configs, amplitudes = map(np.asarray, support)
+    bit = (configs >> site) & 1
     if pauli == "Z":
-        out = np.empty(halves.shape, dtype=np.result_type(halves, 1.0))
-        out[:, 0] = halves[:, 0]
-        np.multiply(halves[:, 1], -1.0, out=out[:, 1])
-    else:
-        out = np.empty(halves.shape, dtype=np.result_type(halves, 1j))
-        np.multiply(halves[:, 1], -1j, out=out[:, 0])
-        np.multiply(halves[:, 0], 1j, out=out[:, 1])
-    return out.reshape(-1)
+        return configs, np.where(bit, amplitudes * -1.0, amplitudes)
+    flipped = configs ^ (1 << site)
+    if pauli == "X":
+        return flipped, amplitudes
+    return flipped, amplitudes * np.where(bit, -1j, 1j)
 
 
 @dataclass(frozen=True)
@@ -135,10 +132,12 @@ def detection_experiment(block, site, pauli):
     untouched on sublattice B.
     """
     lat = block.lattice
-    state = logical_state(block, DEFAULT_PROBE)
-    hit = inject_pauli(state, site, pauli)
+    probe = np.asarray(DEFAULT_PROBE, dtype=complex)
+    on = np.flatnonzero(probe)
+    hit = inject_pauli((np.array(block.members)[on], probe[on]), site, pauli)
     syn = extract_syndrome(hit, lat)
-    tom = logical_tomography(hit, block)
+    amplitude = dict(zip(*(part.tolist() for part in hit)))
+    tom = block_tomography([amplitude.get(m, 0) for m in block.members])
     sub = "A" if lat.sublattice[site] == 0 else "B"
     return DetectionReport(
         block_alpha=block.alpha,

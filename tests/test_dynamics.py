@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, expm_multiply
 
 from fragmenta import config as cm
@@ -43,6 +44,20 @@ def random_state(lat):
     return v / np.linalg.norm(v)
 
 
+def conjugate_by_xor(matrix, xor_mask, dim):
+    coo = matrix.tocoo()
+    rows = coo.row ^ xor_mask
+    cols = coo.col ^ xor_mask
+    return sp.csr_matrix((coo.data, (rows, cols)), shape=(dim, dim))
+
+
+def commutes_with_toggle(matrix, xor_mask, dim):
+    """Oracle: the operator equals its conjugate by the XOR toggle, entry for entry."""
+    diff = matrix - conjugate_by_xor(matrix, xor_mask, dim)
+    diff.eliminate_zeros()
+    return diff.nnz == 0
+
+
 def stripe_config(L):
     cfg = 0
     for y in range(L):
@@ -82,7 +97,7 @@ def test_heff_is_hermitian(heff):
 def test_heff_commutes_with_toggles(lat, heff):
     dim = 1 << lat.n_sites
     for mask in (lat.mask_a, lat.mask_b):
-        assert dyn._commutes_with_toggle(heff.matrix, mask, dim)
+        assert commutes_with_toggle(heff.matrix, mask, dim)
 
 
 def test_hczp_diagonals(lat):
@@ -96,7 +111,7 @@ def test_hczp_commutes_with_toggles(lat, random_state):
     op = dyn.build_hczp(lat, J=1.0, h=0.3)
     dim = 1 << lat.n_sites
     for mask in (lat.mask_a, lat.mask_b):
-        assert dyn._commutes_with_toggle(op.matrix, mask, dim)
+        assert commutes_with_toggle(op.matrix, mask, dim)
         toggled = random_state[np.arange(dim) ^ mask]
         left = (op.matrix @ toggled)
         right = (op.matrix @ random_state)[np.arange(dim) ^ mask]
@@ -108,7 +123,7 @@ def test_perturbation_symmetry_classes(lat, kind):
     op = dyn.build_perturbation(lat, kind, 0.05, seed=7)
     dim = 1 << lat.n_sites
     symmetric = all(
-        dyn._commutes_with_toggle(op.matrix, mask, dim)
+        commutes_with_toggle(op.matrix, mask, dim)
         for mask in (lat.mask_a, lat.mask_b)
     )
     assert symmetric == kind.startswith("sym_")
@@ -121,16 +136,18 @@ def test_diagonal_symmetry_check_agrees_with_conjugation(lat, kind):
     op = dyn.build_perturbation(lat, kind, 1.0, seed=7)
     diag = op.matrix.diagonal()
     for mask in (lat.mask_a, lat.mask_b):
-        by_conjugation = dyn._commutes_with_toggle(op.matrix, mask, op.dimension)
+        by_conjugation = commutes_with_toggle(op.matrix, mask, op.dimension)
         assert by_conjugation == kind.startswith("sym_")
         assert dyn._diagonal_commutes_with_toggle(diag, mask) == by_conjugation
 
 
-@pytest.mark.parametrize("kind", ("sym_zz_nnn", "break_longitudinal_random", "break_zz_nn"))
+@pytest.mark.parametrize(
+    "kind", ("sym_zz_nnn", "break_longitudinal_random", "break_zz_nn", "sym_transverse"))
 def test_symmetry_check_rejects_one_changed_diagonal_entry(lat, kind, monkeypatch):
     # z of site 0 changed in the all-up configuration, where every partner
-    # of site 0 has z = 1, changes that one diagonal entry
-    z_values = dyn._z_values
+    # of site 0 has z = 1, changes that one diagonal entry; for the
+    # transverse field, the weight of one flip of site 0 changes
+    z_values, single_flips = dyn._z_values, dyn._single_flips
 
     def changed(cfgs, site):
         z = z_values(cfgs, site)
@@ -138,7 +155,16 @@ def test_symmetry_check_rejects_one_changed_diagonal_entry(lat, kind, monkeypatc
             z[0] += 0.5
         return z
 
+    def changed_weight(lat, cfgs, value):
+        data, rows, cols = single_flips(lat, cfgs, value)
+        data = [data[0].copy()] + data[1:]   # the sites share one weight array
+        data[0][0] += 0.5
+        changed_op = dyn._csr(data, rows, cols, len(cfgs))
+        assert not commutes_with_toggle(changed_op, lat.mask_a, len(cfgs))
+        return data, rows, cols
+
     monkeypatch.setattr(dyn, "_z_values", changed)
+    monkeypatch.setattr(dyn, "_single_flips", changed_weight)
     if kind.startswith("sym_"):
         with pytest.raises(AssertionError):
             dyn.build_perturbation(lat, kind, 0.05, seed=7)
@@ -249,7 +275,7 @@ def test_logical_operators_commute_with_heff(lat, heff, blocks):
     for block in blocks:
         for s in ("A", "B"):
             for kind in ("X", "Y", "Z"):
-                op = enc.logical_operator(block, s, kind).matrix
+                op = enc.embed_block_operator(block, enc.logical_operator(block, s, kind).matrix)
                 comm = heff.matrix @ op - op @ heff.matrix
                 comm = comm.tocsr()
                 comm.eliminate_zeros()
@@ -445,7 +471,7 @@ def test_spectral_interval_holds_eigsh_extremes(lat, bases, base, kind):
         op = op + dyn.build_perturbation(lat, kind, 0.05, seed=7)
     assert op.toggles == (() if kind.startswith("break_") else (lat.mask_a, lat.mask_b))
     for mask in op.toggles:
-        assert dyn._commutes_with_toggle(op.matrix, mask, op.dimension)
+        assert commutes_with_toggle(op.matrix, mask, op.dimension)
     c, a = interval(op)
     c_full, a_full = interval(op, toggles=())
     assert abs(c - c_full) <= 1e-12 * a_full and abs(a - a_full) <= 1e-12 * a_full

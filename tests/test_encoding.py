@@ -100,33 +100,45 @@ def test_member_order(lat, blocks):
 @pytest.mark.parametrize("sublattice", ["A", "B"])
 @pytest.mark.parametrize("kind", ["I", "X", "Y", "Z"])
 def test_logical_operator_matches_projector_oracle(blocks, sublattice, kind):
-    block = blocks[0]
-    mine = enc.logical_operator(block, sublattice, kind).matrix
-    oracle = oracle_operator(block, sublattice, kind)
-    diff = (mine - oracle).tocsr()
-    diff.eliminate_zeros()
-    assert diff.nnz == 0
+    # the oracle lives on the full space, so its embedding must match with
+    # nothing left over off the block
+    for block in blocks:
+        mine = enc.logical_operator(block, sublattice, kind).matrix
+        assert mine.shape == (4, 4)
+        oracle = oracle_operator(block, sublattice, kind)
+        diff = (enc.embed_block_operator(block, mine) - oracle).tocsr()
+        diff.eliminate_zeros()
+        assert diff.nnz == 0
 
 
 def test_operator_nonzero_budget(blocks):
     for s in ("A", "B"):
         for kind in ("I", "X", "Y", "Z"):
             op = enc.logical_operator(blocks[0], s, kind).matrix
-            assert op.nnz <= 4
+            assert np.count_nonzero(op) <= 4
 
 
 def test_operator_examples(blocks, lat):
     block = blocks[0]
+    members = block.members
+    flipped = members.index(block.alpha ^ lat.mask_a)
+    assert flipped == enc.MEMBER_LABELS.index((1, 0))
     z_a = enc.logical_operator(block, "A", "Z").matrix
-    alpha = block.alpha
-    flipped = alpha ^ lat.mask_a
-    assert z_a[alpha, alpha] == 1.0
+    assert z_a[0, 0] == 1.0
     assert z_a[flipped, flipped] == -1.0
     x_a = enc.logical_operator(block, "A", "X").matrix
-    e_alpha = np.zeros(block.dimension, dtype=complex)
-    e_alpha[alpha] = 1.0
-    out = x_a @ e_alpha
+    out = x_a @ np.eye(4)[0]
     assert out[flipped] == 1.0 and np.count_nonzero(out) == 1
+    # the embedding puts the same entries on the member configurations
+    full = enc.embed_block_operator(block, z_a)
+    assert full.shape == (block.dimension,) * 2 and full.nnz == 4
+    assert full[block.alpha ^ lat.mask_a, block.alpha ^ lat.mask_a] == -1.0
+
+
+def test_operator_tables_are_read_only(blocks):
+    op = enc.logical_operator(blocks[0], "A", "X").matrix
+    with pytest.raises(ValueError):
+        op[0, 0] = 5.0
 
 
 def test_pauli_algebra_all_blocks(blocks):
@@ -136,31 +148,11 @@ def test_pauli_algebra_all_blocks(blocks):
 
 
 def test_pauli_algebra_catches_a_wrong_sign(blocks, monkeypatch):
-    original = enc._block_op_matrix
-
-    def flipped_y(block, kind_a, kind_b):
-        m = original(block, kind_a, kind_b)
-        return -m if "Y" in (kind_a, kind_b) else m
-
-    monkeypatch.setattr(enc, "_block_op_matrix", flipped_y)
+    flipped_y = {pair: -m if "Y" in pair else m for pair, m in enc._TWO_QUBIT.items()}
+    monkeypatch.setattr(enc, "_TWO_QUBIT", flipped_y)
     residuals = enc.verify_pauli_algebra(blocks[0])
     assert residuals["XY_commutator_A"] > 0
     assert residuals["ZX_commutator_B"] > 0
-
-
-def test_pauli_algebra_catches_an_entry_outside_the_block(blocks, monkeypatch):
-    original = enc._block_op_matrix
-    stray_row = blocks[0].members[1]   # 0 is no code state, so off the block
-
-    def leaky_z(block, kind_a, kind_b):
-        m = original(block, kind_a, kind_b)
-        if (kind_a, kind_b) == ("I", "Z"):
-            m = m + sp.csr_matrix(([1.0], ([stray_row], [0])), shape=m.shape)
-        return m
-
-    monkeypatch.setattr(enc, "_block_op_matrix", leaky_z)
-    with pytest.raises(ValueError):
-        enc.verify_pauli_algebra(blocks[0])
 
 
 def test_logical_state_and_tomography(blocks):
@@ -186,6 +178,26 @@ def test_logical_state_and_tomography(blocks):
     tom = enc.logical_tomography(out, block)
     assert tom["population"] == 0.0
     assert all(tom[k] == 0.0 for k in ("X_A", "Y_A", "Z_A", "X_B", "Y_B", "Z_B"))
+
+
+def test_tomography_matches_full_space_expectations(blocks):
+    # <psi|O|psi> with the full-space oracle operators, on states that also
+    # carry weight off the block
+    rng = np.random.default_rng(5)
+    for block in blocks[:3]:
+        ops = {f"{k}_{s}": oracle_operator(block, s, k) for s in "AB" for k in "XYZ"}
+        ops["population"] = oracle_operator(block, "A", "I")
+        for pair in ("ZZ", "XX", "ZX", "XZ"):
+            ops[pair] = ops[f"{pair[0]}_A"] @ ops[f"{pair[1]}_B"]
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = 0.8 * enc.logical_state(block, amps / np.linalg.norm(amps))
+        assert 12345 not in block.members
+        state[12345] = 0.6
+        tom = enc.logical_tomography(state, block)
+        assert tom.keys() == ops.keys()
+        for key, op in ops.items():
+            assert tom[key] == pytest.approx(np.vdot(state, op @ state).real, abs=1e-12), key
+        assert tom == enc.block_tomography(enc.block_amplitudes(state, block))
 
 
 def test_logical_state_requires_normalization(blocks):

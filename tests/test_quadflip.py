@@ -336,20 +336,25 @@ def test_qudit_z_eigenvalues(decomposition, valid_configs):
     _, sectors = decomposition
     multiplets, _ = qf.find_multiplets(sectors)
     m = multiplets[0]
-    ops = qf.qudit_logicals(m, sectors)
+    support, ops = qf.qudit_logicals(m, sectors)
     omega = np.exp(2j * np.pi / 3)
-    index = {c: i for i, c in enumerate(valid_configs)}
     sets = member_sets(sectors, m)
+    # the operators live on the multiplet's colorings, ascending
+    assert support.tolist() == sorted(support.tolist())
+    assert {valid_configs[i] for i in support} == set().union(*sets)
+    assert np.array_equal(ops["I"], np.eye(len(support)))
+    index = {valid_configs[i]: j for j, i in enumerate(support)}
     for k, members in enumerate(sets):
         for c in members:
-            v = np.zeros(len(valid_configs), dtype=complex)
+            v = np.zeros(len(support), dtype=complex)
             v[index[c]] = 1.0
             assert np.vdot(v, ops["Z"] @ v) == pytest.approx(omega ** k)
             # X maps sector k into sector k+1
             out = ops["X"] @ v
             target = np.nonzero(out)[0]
             assert len(target) == 1
-            assert valid_configs[target[0]] in sets[(k + 1) % 3]
+            assert valid_configs[support[target[0]]] in sets[(k + 1) % 3]
+            assert valid_configs[support[target[0]]] == global_shift(c, 1, 3)
 
 
 # ---------------------------------------------------------------------------

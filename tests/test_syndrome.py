@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,30 @@ from fragmenta.fragmentation import code_states, enumerate_frozen
 from fragmenta.lattice import build_lattice
 
 SQ2 = 2 ** -0.5
+DIM = 1 << 16
+
+
+def support_of(psi):
+    """The support (configs, amplitudes) of a dense state, as the syndrome code takes it."""
+    configs = np.flatnonzero(psi)
+    return configs, psi[configs]
+
+
+def dense(support):
+    configs, amplitudes = support
+    psi = np.zeros(DIM, dtype=amplitudes.dtype)
+    psi[configs] = amplitudes
+    return psi
+
+
+def pauli_by_index_formula(psi, site, pauli):
+    """A single-site Pauli on a dense state: gather X through the flipped
+    index, multiply Z by the +-1 sign of the bit, Y = i X Z."""
+    idx = np.arange(len(psi), dtype=np.int64)
+    if pauli == "X":
+        return psi[idx ^ (1 << site)]
+    z = psi * (1.0 - 2.0 * ((idx >> site) & 1))
+    return z if pauli == "Z" else 1j * z[idx ^ (1 << site)]
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +87,7 @@ def test_extract_syndrome_on_states(lat, blocks):
     probe = enc.logical_state(block, (SQ2, 0.0, SQ2, 0.0))
     res = syn.extract_syndrome(probe, lat)
     assert res.uniform and all(s == 1 for s in res.signs)
+    assert syn.extract_syndrome(support_of(probe), lat) == res
 
     # mixed support: code state + all-zeros is flagged, not averaged silently
     mixed = np.zeros(block.dimension, dtype=complex)
@@ -70,49 +97,56 @@ def test_extract_syndrome_on_states(lat, blocks):
     assert not res.uniform
     assert res.signs is None
     assert all(abs(e) <= 1.0 for e in res.expectations)
+    assert syn.extract_syndrome(support_of(mixed), lat) == res
+
+
+def test_extract_syndrome_drops_negligible_amplitudes(lat, blocks):
+    block = blocks[0]
+    support = (np.array([block.alpha, 0]), np.array([1.0, 1e-7]))
+    res = syn.extract_syndrome(support, lat)
+    assert res.uniform and all(s == 1 for s in res.signs)
+    with pytest.raises(ValueError):
+        syn.extract_syndrome((np.array([0]), np.array([1e-7])), lat)
 
 
 def test_inject_pauli_algebra(lat, blocks):
     rng = np.random.default_rng(41)
-    psi = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
+    psi = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
     psi /= np.linalg.norm(psi)
+    support = support_of(psi)
     # X then X is identity
-    assert np.allclose(syn.inject_pauli(syn.inject_pauli(psi, 3, "X"), 3, "X"), psi)
+    assert np.allclose(dense(syn.inject_pauli(syn.inject_pauli(support, 3, "X"), 3, "X")), psi)
     # Z on a basis state changes only the phase
-    basis = np.zeros(1 << 16, dtype=complex)
-    basis[777] = 1.0
-    out = syn.inject_pauli(basis, 4, "Z")
-    assert np.abs(np.abs(out) - np.abs(basis)).max() == 0.0
+    configs, amps = syn.inject_pauli((np.array([777]), np.array([1.0 + 0j])), 4, "Z")
+    assert configs.tolist() == [777] and abs(amps[0]) == 1.0
     # Y = i X Z
-    y1 = syn.inject_pauli(psi, 5, "Y")
-    y2 = 1j * syn.inject_pauli(syn.inject_pauli(psi, 5, "Z"), 5, "X")
+    y1 = dense(syn.inject_pauli(support, 5, "Y"))
+    y2 = 1j * dense(syn.inject_pauli(syn.inject_pauli(support, 5, "Z"), 5, "X"))
     assert np.allclose(y1, y2)
     # norm preserved
-    assert abs(np.linalg.norm(syn.inject_pauli(psi, 9, "Y")) - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(syn.inject_pauli(support, 9, "Y")[1]) - 1.0) <= 1e-12
 
 
 def test_inject_pauli_matches_index_formula():
-    # the former implementation, written out: gather X through the flipped
-    # index, multiply Z by the +-1 sign of the bit, Y = i X Z
     rng = np.random.default_rng(43)
-    psi = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
-    idx = np.arange(1 << 16, dtype=np.int64)
+    psi = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
     for site in range(16):
-        x = psi[idx ^ (1 << site)]
-        z = psi * (1.0 - 2.0 * ((idx >> site) & 1))
-        y = 1j * z[idx ^ (1 << site)]
-        for pauli, want in (("X", x), ("Y", y), ("Z", z)):
-            got = syn.inject_pauli(psi, site, pauli)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want), (site, pauli)
+        for pauli in ("X", "Y", "Z"):
+            want = pauli_by_index_formula(psi, site, pauli)
+            configs, amps = syn.inject_pauli(support_of(psi), site, pauli)
+            assert amps.dtype == want.dtype
+            assert np.array_equal(amps, want[configs]), (site, pauli)
+            assert np.array_equal(dense((configs, amps)), want), (site, pauli)
 
 
 def test_inject_pauli_rejects_unknown_pauli():
     with pytest.raises(ValueError):
-        syn.inject_pauli(np.zeros(1 << 16, dtype=complex), 0, "W")
+        syn.inject_pauli((np.array([0]), np.array([1.0])), 0, "W")
 
 
-@pytest.mark.parametrize("cfg", [1 << 16, 1 << 20, -1])
+@pytest.mark.parametrize("cfg", [1 << 16, 1 << 20, -1,
+                                 (np.array([5, 1 << 16]), np.ones(2)),
+                                 np.ones((1 << 16) + 1)])
 def test_extract_syndrome_rejects_out_of_range_configs(lat, cfg):
     with pytest.raises(ValueError):
         syn.extract_syndrome(cfg, lat)
@@ -160,11 +194,51 @@ def test_detection_y_error_combines_both(lat, blocks):
 
 def test_z_errors_never_change_syndrome(lat, blocks):
     block = blocks[0]
-    probe = enc.logical_state(block, (SQ2, 0.0, SQ2, 0.0))
+    probe = support_of(enc.logical_state(block, (SQ2, 0.0, SQ2, 0.0)))
     base = syn.extract_syndrome(probe, lat).signs
     for site in range(lat.n_sites):
         hit = syn.inject_pauli(probe, site, "Z")
         assert syn.extract_syndrome(hit, lat).signs == base
+
+
+def dense_detection(block, site, pauli):
+    """detection_experiment written out on the dense 2^16 state."""
+    lat = block.lattice
+    hit = pauli_by_index_formula(enc.logical_state(block, enc.DEFAULT_PROBE), site, pauli)
+    res = syn.extract_syndrome(hit, lat)
+    return syn.DetectionReport(
+        block_alpha=block.alpha,
+        site=site,
+        site_sublattice="AB"[int(lat.sublattice[site])],
+        pauli=pauli,
+        syndrome_uniform=res.uniform,
+        defect_count=res.defect_count if res.uniform else None,
+        tomography=enc.logical_tomography(hit, block),
+    )
+
+
+def test_detection_matches_the_dense_oracle(lat, blocks):
+    for block in blocks:
+        for site in range(lat.n_sites):
+            for pauli in ("X", "Y", "Z"):
+                rep = syn.detection_experiment(block, site, pauli)
+                assert repr(rep) == repr(dense_detection(block, site, pauli))
+
+
+def test_detection_builds_no_full_space_state(lat, blocks, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("logical_state called")
+
+    monkeypatch.setattr(enc, "logical_state", forbidden)
+    monkeypatch.setattr(syn, "logical_state", forbidden, raising=False)
+    tracemalloc.start()
+    try:
+        for pauli in ("X", "Y", "Z"):
+            syn.detection_experiment(blocks[5], 7, pauli)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < DIM  # bytes: a 2^16 vector takes at least 8 times this
 
 
 def test_syndrome_commutes_with_logical_gates(lat, blocks):
