@@ -16,12 +16,16 @@ vanishing first-order effect on sublattice-balanced code states.
 The CZ_p model at strong coupling (build_czp_strong) is heff plus the
 plaquette energy: a flip that creates wall crossings costs at least 2J.
 
-Time evolution takes one of two paths, both for real symmetric H only.  A
-short Lanczos probe (at most _PROBE_DIM vectors, full reorthogonalization)
-first tests whether the Krylov space of the initial state closes; if it
-does, the state is propagated exactly in that subspace for every time at
-once.  Otherwise exp(-iHt) is expanded in Chebyshev polynomials (Tal-Ezer
-and Kosloff 1984),
+Time evolution takes one of two paths, both for real symmetric H only.  If
+H maps the support S of the initial state into itself (at most
+_EXACT_SUPPORT states, and every nonzero entry of the rows H[S] in a column
+of S), the columns S hold no entry outside S either, because H is
+symmetric, so exp(-iHt) psi = exp(-i H_SS t) psi_S exactly; a dense
+eigendecomposition of H_SS serves every time at once.  Logical states take
+this path under the constrained flips and diagonal perturbations: the
+flips annihilate code states and a diagonal term keeps them eigenstates.
+Otherwise exp(-iHt) is expanded in Chebyshev polynomials (Tal-Ezer and
+Kosloff 1984),
 
     exp(-iHt) psi = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(at) T_k((H-c)/a) psi,
 
@@ -61,7 +65,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
 
 from . import config as cfgmod
 from .encoding import DEFAULT_PROBE, block_tomography, logical_state
@@ -74,8 +77,7 @@ PERTURBATION_KINDS = (
     "break_zz_nn",
 )
 
-_PROBE_DIM = 6           # Lanczos vectors the invariant-subspace probe may build
-_BREAKDOWN_TOL = 1e-13   # happy breakdown: residual below this times max(1, |alpha|)
+_EXACT_SUPPORT = 64      # largest closed support the exact path diagonalizes
 _POWER_STEPS = 30        # power steps behind each Collatz-Wielandt bound
 _ROUNDING_PAD = 2.0 ** -40  # relative widening of each bound, for rounding
 _MILLER_PAD = 32         # orders the Bessel recurrence starts above its table
@@ -254,33 +256,19 @@ def _check_state(psi):
         raise ValueError("state amplitudes must be finite")
 
 
-def _krylov_probe(H, psi):
-    """Lanczos from psi, at most _PROBE_DIM vectors, full reorthogonalization.
+def _closed_support(H, psi):
+    """psi's support S and the dense H[S][:, S], when H maps span(S) into itself.
 
-    Returns (basis, evals, evecs, residual) when the Krylov space closes
-    (happy breakdown): basis is a list of orthonormal vectors, evals/evecs
-    diagonalize the tridiagonal projection, residual is the coupling out of
-    the space.  Returns None when it does not close within _PROBE_DIM vectors.
+    Returns None when |S| exceeds _EXACT_SUPPORT or a nonzero entry of the
+    rows H[S] lies outside the columns S.  Stored zeros do not couple.
     """
-    real = not np.any(psi.imag)
-    v = psi.real if real else psi
-    basis = [v / np.linalg.norm(v)]
-    alphas, betas = [], []
-    for j in range(_PROBE_DIM):
-        u = basis[j]
-        w = H @ u if real else H @ u.real + 1j * (H @ u.imag)
-        alpha = float(np.vdot(u, w).real)
-        alphas.append(alpha)
-        for _ in range(2):  # modified Gram-Schmidt, twice
-            for b in basis:
-                w -= np.vdot(b, w) * b
-        beta = float(np.linalg.norm(w))
-        if beta < _BREAKDOWN_TOL * max(1.0, abs(alpha)):
-            evals, evecs = eigh_tridiagonal(alphas, betas)
-            return basis, evals, evecs, beta
-        betas.append(beta)
-        basis.append(w / beta)
-    return None
+    S = np.flatnonzero(psi)
+    if len(S) > _EXACT_SUPPORT:
+        return None
+    rows = H[S]
+    if np.any(rows.data[~np.isin(rows.indices, S)]):
+        return None
+    return S, rows[:, S].toarray()
 
 
 class _Sectors:
@@ -458,42 +446,39 @@ def _chebyshev_terms(H, c, a, parts, order):
 class PropagatorCounters:
     """Deterministic solver counters of one propagation."""
 
-    chebyshev_order: int   # orders of the Chebyshev recursion; 0 on the probe path
-    probe_dim: int         # Lanczos vectors the invariant-subspace probe built
-    error_bound: float     # a-priori bound on the 2-norm error at every time
-    half_width: float      # half-width of the recursion's interval; 0.0 on the probe path
+    chebyshev_order: int   # orders of the Chebyshev recursion; 0 on the exact path
+    probe_dim: int         # size of the closed support on the exact path; 0 on the recursion
+    error_bound: float     # a-priori 2-norm error bound at every time; 0.0 on the exact path
+    half_width: float      # half-width of the recursion's interval; 0.0 on the exact path
     rows_per_order: int    # sector dimension x real parts, summed over the recursions run
 
 
-def _propagate(op, psi0, times, tol, rows=None):
+def _propagate(op, psi0, times, tol, rows):
     """exp(-i H t_j) psi0 at every t_j in times, on the basis indices rows.
 
-    Returns the amplitudes, shape (len(times), len(rows)), or the full
-    states when rows is None, and the PropagatorCounters.
+    Returns the amplitudes, shape (len(times), len(rows)), and the
+    PropagatorCounters.
     """
     H = op.matrix
     if np.iscomplexobj(H):
         raise ValueError("the propagator needs a real symmetric operator")
     times = np.asarray(times, dtype=float)
-    sel = slice(None) if rows is None else rows
-    width = H.shape[0] if rows is None else len(rows)
+
+    closed = _closed_support(H, psi0)
+    if closed is not None:
+        S, block = closed
+        evals, evecs = np.linalg.eigh(block)
+        y = (np.exp(-1j * np.outer(times, evals)) * (evecs.T @ psi0[S])) @ evecs.T
+        hit = np.isin(rows, S)
+        values = np.zeros((len(times), len(rows)), dtype=complex)
+        values[:, hit] = y[:, np.searchsorted(S, rows[hit])]
+        return values, PropagatorCounters(0, len(S), 0.0, 0.0, 0)
+
     norm = float(np.linalg.norm(psi0))
-    if norm == 0.0:
-        return np.zeros((len(times), width), dtype=complex), PropagatorCounters(0, 0, 0.0, 0.0, 0)
-
-    probe = _krylov_probe(H, psi0)
-    if probe is not None:
-        basis, evals, evecs, residual = probe
-        y = (np.exp(-1j * np.outer(times, evals)) * evecs[0]) @ evecs.T
-        values = norm * (y @ np.array([b[sel] for b in basis]))
-        bound = norm * residual * float(np.abs(times).max())
-        return values, PropagatorCounters(0, len(evals), bound, 0.0, 0)
-
     sectors = _Sectors(H, op.toggles)
     c, a = _spectral_interval(sectors)
     coef, bound = _chebyshev_coefficients(a * times, tol / norm)
-    out = np.arange(H.shape[0])[sel]
-    need, pos = np.unique(sectors.index[out], return_inverse=True)  # sector rows recorded
+    need, pos = np.unique(sectors.index[rows], return_inverse=True)  # sector rows recorded
     amps = _walsh(psi0[sectors.orbits])  # |G|^(1/2) times the sector components
     recorded = np.zeros((len(amps), len(times), len(need)), dtype=complex)
     rows_per_order = 0
@@ -516,9 +501,9 @@ def _propagate(op, psi0, times, tol, rows=None):
             for phase, u in zip((1.0, 1j), vs):
                 recorded[q] += np.outer(phase * coef[k], u[need])
         recorded[q] *= scale / np.conj(z)
-    values = _walsh(recorded)[sectors.element[out], :, pos].T / len(amps)
+    values = _walsh(recorded)[sectors.element[rows], :, pos].T / len(amps)
     values *= np.exp(-1j * c * times)[:, None]
-    return values, PropagatorCounters(len(coef), _PROBE_DIM, norm * bound, a, rows_per_order)
+    return values, PropagatorCounters(len(coef), 0, norm * bound, a, rows_per_order)
 
 
 def evolve(state, op, t, tol=1e-10):
@@ -535,7 +520,7 @@ def evolve(state, op, t, tol=1e-10):
     _check_state(psi)
     if t == 0:
         return psi
-    values, _ = _propagate(op, psi, [t], tol)
+    values, _ = _propagate(op, psi, [t], tol, np.arange(len(psi)))
     return values[0]
 
 
@@ -594,7 +579,7 @@ def coherence_experiment(block, op, times, tol=1e-10, initial=None):
     members = np.array(block.members)
     rows = np.union1d(members, np.flatnonzero(psi0))
     values, counters = _propagate(op, psi0, times, tol, rows)
-    values[0] = psi0[rows]  # exact at t = 0, free of the probe's rounding
+    values[0] = psi0[rows]  # exact at t = 0, free of the propagator's rounding
     fidelity = np.abs(values @ psi0[rows].conj())
     tomography = [block_tomography(amps) for amps in values[:, np.searchsorted(rows, members)]]
     return CoherenceSeries(

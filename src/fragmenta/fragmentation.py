@@ -187,7 +187,9 @@ def sector_of(cfg, lat, size_cap=1 << 22):
     """Breadth-first search of one configuration's component, a frontier at a time.
 
     Each level applies flippable_mask to the whole frontier once per site;
-    the flipped configurations not seen before form the next frontier.
+    the flipped configurations not seen before form the next frontier.  seen
+    stays sorted: each level sorts its flips, drops repeats and known states
+    with one searchsorted against seen, and inserts the rest in place.
     Raises RuntimeError once the component has more than size_cap states.
     """
     cfg = int(cfg)
@@ -196,14 +198,17 @@ def sector_of(cfg, lat, size_cap=1 << 22):
     dtype = np.uint32 if lat.n_sites <= 32 else np.uint64
     seen = frontier = np.array([cfg], dtype=dtype)
     while len(frontier):
-        flipped = np.concatenate([
+        flipped = np.sort(np.concatenate([
             frontier[cfgmod.flippable_mask(frontier, lat, i)] ^ dtype(1 << i)
             for i in range(lat.n_sites)
-        ])
-        frontier = np.setdiff1d(flipped, seen)
+        ]))
+        pos = np.searchsorted(seen, flipped)
+        new = seen[pos.clip(max=len(seen) - 1)] != flipped
+        new[1:] &= flipped[1:] != flipped[:-1]
+        frontier = flipped[new]
         if len(seen) + len(frontier) > size_cap:
             raise RuntimeError(f"component exceeded size cap {size_cap}")
-        seen = np.union1d(seen, frontier)
+        seen = np.insert(seen, pos[new], frontier)
     rep = int(seen[0])
     signs = cfgmod.cz_signs(seen[:1], lat)[0]
     return KrylovSector(

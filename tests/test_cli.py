@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from fragmenta import dynamics as dyn
 from fragmenta import encoding as enc
 from fragmenta import selftest
 from fragmenta.cli import main
@@ -252,21 +251,23 @@ def test_evolve_counters_identical_bytes(capsys):
     assert first == second
     report = json.loads(first)
     assert report["chebyshev_order"] > 0
-    assert report["probe_dim"] == dyn._PROBE_DIM
+    assert report["probe_dim"] == 0
     assert report["half_width"] > 0.0
     # the default probe lives in two of the four sublattice-toggle sectors,
     # each with one real part of 2^16 / 4 rows
     assert report["rows_per_order"] == 32768
     assert list(report).index("rows_per_order") == list(report).index("half_width") + 1
     assert 0.0 < report["error_bound"] <= report["tol"]
-    # a diagonal perturbation keeps the probe in the block: no recursion
+    # a diagonal perturbation keeps the probe's two-state support closed:
+    # the exact path, no recursion
     _, out = run_cli(capsys, "evolve", "--perturbation", "break_longitudinal_random",
                      "--tmax", "1.0", "--steps", "4")
     report = json.loads(out)
     assert report["chebyshev_order"] == 0
     assert report["half_width"] == 0.0
     assert report["rows_per_order"] == 0
-    assert 1 <= report["probe_dim"] <= 4
+    assert report["probe_dim"] == 2
+    assert report["error_bound"] == 0.0
 
 
 def test_evolve_heff_sym_transverse_order(capsys):

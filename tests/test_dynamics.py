@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh, expm_multiply
 
 from fragmenta import config as cm
 from fragmenta import dynamics as dyn
 from fragmenta import encoding as enc
-from fragmenta.fragmentation import code_states
+from fragmenta.fragmentation import code_states, krylov_decompose
 from fragmenta.lattice import build_lattice
 
 SQ2 = 2 ** -0.5
@@ -14,6 +19,11 @@ SQ2 = 2 ** -0.5
 # a warning from the sector transforms, the phase factoring or the Bessel
 # recurrence fails the test that raised it
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def propagate(op, psi, times):
+    """_propagate at tol 1e-10 on every row, as evolve calls it."""
+    return dyn._propagate(op, psi, times, 1e-10, np.arange(len(psi)))
 
 
 def interval(op, toggles=None):
@@ -396,16 +406,15 @@ def test_chebyshev_path_against_expm_multiply(lat, blocks):
     times = np.linspace(0.0, 1.0, 5)
     series = dyn.coherence_experiment(block, op, times, tol=1e-10, initial=psi0)
     assert series.counters.chebyshev_order > 0
-    assert series.counters.probe_dim == dyn._PROBE_DIM
+    assert series.counters.probe_dim == 0
     assert 0.0 < series.counters.error_bound <= 1e-10
     assert series.population.max() > 1e-3  # the block does get populated
     _series_against_expm_multiply(block, op, psi0, 1.0, 5, series)
 
 
 def test_invariant_path_against_expm_multiply(lat, blocks, heff):
-    # break_zz_nn vanishes on every L=4 code state; the longitudinal field
-    # splits the member energies, so the probe closes on a subspace of
-    # dimension two to four
+    # heff annihilates the code states and both fields are diagonal (break_zz_nn
+    # vanishes on every L=4 code state), so the four members' support is closed
     block = blocks[0]
     op = (heff + dyn.build_perturbation(lat, "break_zz_nn", 0.05)
           + dyn.build_perturbation(lat, "break_longitudinal_random", 0.05, seed=7))
@@ -415,8 +424,66 @@ def test_invariant_path_against_expm_multiply(lat, blocks, heff):
     times = np.linspace(0.0, 20.0, 6)
     series = dyn.coherence_experiment(block, op, times, tol=1e-10, initial=psi0)
     assert series.counters.chebyshev_order == 0
-    assert 2 <= series.counters.probe_dim <= 4
+    assert series.counters.probe_dim == 4
+    assert series.counters.error_bound == 0.0
     _series_against_expm_multiply(block, op, psi0, 20.0, 6, series)
+
+
+@pytest.fixture(scope="module")
+def heff_sectors(lat, heff):
+    """Sector labels of heff's flip graph, by scipy's own connected components."""
+    _, labels = connected_components(heff.matrix, directed=False)
+    return krylov_decompose(lat), labels
+
+
+@pytest.mark.parametrize("size, kind", [(3, None), (9, "break_longitudinal_random")])
+def test_exact_path_on_a_krylov_sector_against_expm_multiply(lat, heff, heff_sectors,
+                                                              size, kind):
+    # a random state spread over one whole sector: heff couples its states
+    # to each other and to nothing else, so the dense eigh runs on the sector
+    sectors, labels = heff_sectors
+    rep = next(s.representative for s in sectors if s.size == size)
+    support = np.flatnonzero(labels == labels[rep])
+    assert len(support) == size
+    rng = np.random.default_rng(size)
+    psi0 = np.zeros(1 << lat.n_sites, dtype=complex)
+    psi0[support] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    psi0 /= np.linalg.norm(psi0)
+    op = heff if kind is None else heff + dyn.build_perturbation(lat, kind, 0.3, seed=3)
+    times = np.linspace(0.0, 5.0, 6)
+    values, counters = propagate(op, psi0, times)
+    assert counters == dyn.PropagatorCounters(0, size, 0.0, 0.0, 0)
+    reference = expm_multiply(-1j * op.matrix.astype(complex), psi0,
+                              start=0.0, stop=5.0, num=6, endpoint=True)
+    assert np.abs(values - reference).max() <= 1e-12
+    assert np.count_nonzero(values[-1]) == size  # the sector, and nothing outside
+
+
+@pytest.mark.parametrize("build", [
+    lambda lat: dyn.build_heff(lat, h=0.0),
+    lambda lat: dyn.build_perturbation(lat, "sym_transverse", 0.0),
+], ids=["heff_h0", "sym_transverse_lam0"])
+def test_stored_zero_couplings_take_the_exact_path(lat, blocks, build):
+    # every coupling is stored, with value zero: the support must count as
+    # closed, so a single-flip neighbour of a member stays where it is
+    op = build(lat)
+    assert op.matrix.nnz > 0 and not np.any(op.matrix.data)
+    psi0 = enc.logical_state(blocks[0], [0.6, 0.0, 0.0, 0.8j])
+    psi0[blocks[0].member(0, 0) ^ 1] = 0.5
+    values, counters = propagate(op, psi0, [0.0, 3.0])
+    assert counters == dyn.PropagatorCounters(0, 3, 0.0, 0.0, 0)
+    reference = expm_multiply(-3j * op.matrix.astype(complex), psi0)
+    assert np.abs(values[1] - reference).max() <= 1e-15
+    assert np.abs(values[0] - psi0).max() <= 1e-15
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # the exact path diagonalizes with numpy: start-up loads no scipy.linalg
+    code = "import sys, fragmenta, fragmenta.cli; print('scipy.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_spectral_interval_contains_ritz_values(lat):
@@ -491,8 +558,11 @@ def test_chebyshev_path_with_empty_rows_against_expm_multiply(lat, heff, random_
     assert a < 8.5  # Gershgorin gives 16, the spectrum +-8.4676
     czp_diag = dyn.build_czp_strong(lat) + dyn.build_perturbation(lat, "break_zz_nn", 0.05)
     for op in (heff, czp_diag):
-        values, counters = dyn._propagate(op, random_state, [1.0], 1e-10)
+        # random_state fills the whole space, a support every H maps into
+        # itself but far above _EXACT_SUPPORT: it runs the recursion
+        values, counters = propagate(op, random_state, [1.0])
         assert counters.chebyshev_order > 0
+        assert counters.probe_dim == 0
         g_lo, g_hi = _gershgorin(op.matrix)
         assert counters.half_width < 0.5 * (g_hi - g_lo)
         reference = expm_multiply(-1j * op.matrix.astype(complex), random_state)
@@ -543,7 +613,7 @@ def test_sectors_complex_full_state_against_expm_multiply(lat, random_state):
     # parts: 2 x 2^16 rows per order, as for Re and Im over the whole space
     op = dyn.build_czp_strong(lat) + dyn.build_perturbation(lat, "sym_zz_nnn", 0.05)
     times = [0.4, 1.0]
-    values, counters = dyn._propagate(op, random_state, times, 1e-10)
+    values, counters = propagate(op, random_state, times)
     assert counters.rows_per_order == 2 * (1 << lat.n_sites)
     for t, psi in zip(times, values):
         reference = expm_multiply(-1j * t * op.matrix.astype(complex), random_state)
@@ -557,15 +627,14 @@ def test_sectors_logical_state_full_output_against_expm_multiply(lat, blocks):
     rng = np.random.default_rng(8)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 = enc.logical_state(blocks[3], amps / np.linalg.norm(amps))
-    values, counters = dyn._propagate(op, psi0, [2.0], 1e-10)
+    values, counters = propagate(op, psi0, [2.0])
     assert counters.rows_per_order == 1 << 16
     psi_t = dyn.evolve(psi0, op, 2.0, tol=1e-10)
     assert np.array_equal(psi_t, values[0])
     reference = expm_multiply(-1j * 2.0 * op.matrix.astype(complex), psi0)
     assert np.linalg.norm(psi_t - reference) <= 1e-9
     # the default probe lives in two of the four sectors
-    _, counters = dyn._propagate(op, enc.logical_state(blocks[3], dyn.DEFAULT_PROBE),
-                                 [2.0], 1e-10)
+    _, counters = propagate(op, enc.logical_state(blocks[3], dyn.DEFAULT_PROBE), [2.0])
     assert counters.rows_per_order == (1 << 16) // 2
 
 
@@ -574,7 +643,7 @@ def test_operator_without_toggles_against_expm_multiply(lat, heff, random_state)
     op = heff + dyn.build_perturbation(lat, "break_zz_nn", 0.05)
     assert op.toggles == ()
     assert dyn.SparseOperator(matrix=heff.matrix).toggles == ()
-    values, counters = dyn._propagate(op, random_state, [0.9], 1e-10)
+    values, counters = propagate(op, random_state, [0.9])
     assert counters.chebyshev_order > 0
     assert counters.rows_per_order == 2 * (1 << lat.n_sites)
     reference = expm_multiply(-1j * 0.9 * op.matrix.astype(complex), random_state)
