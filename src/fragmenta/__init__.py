@@ -40,7 +40,7 @@ from .dynamics import (
     coherence_experiment,
     evolve,
 )
-from .gates import GateReport, apply_logical_cnot, apply_rx, apply_rz, gate_report
+from .gates import GateReport, apply_logical_cnot, apply_rx, apply_rz, gate_report, logical_gate
 from .syndrome import (
     DetectionReport,
     SyndromeResult,

@@ -149,84 +149,28 @@ def _cmd_verify_algebra(args):
     return 0 if worst <= selftest.ALGEBRA_TOL else 1
 
 
-def _gate_lines_cnot(lat, block):
-    lines = []
-    for k, (sa, sb) in enumerate(enc.MEMBER_LABELS):
-        amps = np.zeros(4)
-        amps[k] = 1.0
-        psi = enc.logical_state(block, amps)
-        out = gates.apply_logical_cnot(psi, block)
-        expected_amps = np.zeros(4)
-        expected_amps[(sa << 1) | (sa ^ sb)] = 1.0
-        expected = enc.logical_state(block, expected_amps)
-        lines.append(
-            gates.gate_report(
-                block, "cnot", {}, psi, out,
-                expected=expected, input_label=f"|{sa}{sb}>",
-            )
-        )
-    probe = enc.logical_state(block, enc.DEFAULT_PROBE)
-    bell = gates.apply_logical_cnot(probe, block)
-    expected = enc.logical_state(
-        block, (1 / np.sqrt(2), 0.0, 0.0, 1 / np.sqrt(2))
-    )
-    lines.append(
-        gates.gate_report(
-            block, "cnot", {}, probe, bell,
-            expected=expected, input_label="(|00>+|10>)/sqrt2",
-        )
-    )
-    return lines
-
-
-def _gate_lines_rx(lat, block, theta):
-    psi = enc.logical_state(block, (1.0, 0.0, 0.0, 0.0))
-    out = gates.apply_rx(psi, lat, "A", theta)
-    expected = None
-    if abs(theta - np.pi) < 1e-15:
-        expected = gates.rx_pi_global_phase(lat.n_sublattice) * enc.logical_state(
-            block, (0.0, 0.0, 1.0, 0.0)
-        )
-    return [
-        gates.gate_report(
-            block, "rx", {"sublattice": "A", "theta": theta}, psi, out,
-            expected=expected, input_label="|00>",
-        )
-    ]
-
-
-def _gate_lines_rz(lat, block, phi):
-    probe = enc.logical_state(block, enc.DEFAULT_PROBE)
-    out = gates.apply_rz(probe, block, "A", phi)
-    expected = enc.logical_state(
-        block,
-        (
-            np.exp(-1j * phi / 2.0) / np.sqrt(2.0),
-            0.0,
-            np.exp(+1j * phi / 2.0) / np.sqrt(2.0),
-            0.0,
-        ),
-    )
-    return [
-        gates.gate_report(
-            block, "rz", {"sublattice": "A", "phi": phi}, probe, out,
-            expected=expected, input_label="(|00>+|10>)/sqrt2",
-        )
-    ]
-
-
 def _cmd_gates_demo(args):
     lat, block = _block(args)
+    basis = [(f"|{sa}{sb}>", np.eye(4)[k]) for k, (sa, sb) in enumerate(enc.MEMBER_LABELS)]
+    probe = ("(|00>+|10>)/sqrt2", np.array(enc.DEFAULT_PROBE))
     if args.gate == "cnot":
-        reports = _gate_lines_cnot(lat, block)
+        params, inputs = {}, basis + [probe]
+        physical = lambda psi: gates.apply_logical_cnot(psi, block)
     elif args.gate == "rx":
-        reports = _gate_lines_rx(lat, block, args.theta)
+        params, inputs = {"sublattice": "A", "theta": args.theta}, basis[:1]
+        physical = lambda psi: gates.apply_rx(psi, lat, "A", args.theta)
     else:
-        reports = _gate_lines_rz(lat, block, args.phi)
-    lines = "".join(
-        json.dumps({"schema": 1, **_canonical(r.to_dict())}) + "\n" for r in reports
-    )
-    _write(lines, args.out)
+        params, inputs = {"sublattice": "A", "phi": args.phi}, [probe]
+        physical = lambda psi: gates.apply_rz(psi, block, "A", args.phi)
+    U = gates.logical_gate(lat, args.gate, "A", args.theta if args.gate == "rx" else args.phi)
+    lines = []
+    for label, amps in inputs:
+        psi = enc.logical_state(block, amps)
+        expected = None if U is None else enc.logical_state(block, U @ amps)
+        report = gates.gate_report(block, args.gate, params, psi, physical(psi),
+                                   expected=expected, input_label=label)
+        lines.append(json.dumps({"schema": 1, **_canonical(report.to_dict())}) + "\n")
+    _write("".join(lines), args.out)
     return 0
 
 

@@ -1,11 +1,12 @@
 """Sparse Hamiltonians and exact time evolution of logical superpositions.
 
 Hamiltonians are assembled as scipy CSR matrices over the 2^(L^2) packed
-basis (the packed configuration is the basis index).  The constrained model
-has off-diagonal -h entries exactly between configuration pairs related by
-a legal flip and annihilates every code state, row and column alike.  The
-unconstrained plaquette model adds the diagonal -J * sum_p CZ_p and couples
-all single-flip pairs.
+basis (the packed configuration is the basis index).  Every model scales
+one flip graph, fragmentation.move_graph, by -h.  The constrained model
+keeps the legal flips only and annihilates every code state, row and
+column alike.  The unconstrained plaquette model couples all single-flip
+pairs and adds the diagonal -J * sum_p CZ_p; the sym_transverse
+perturbation is that unconstrained graph itself.
 
 Perturbations come in two symmetric kinds (commute with both sublattice
 toggles exactly; verified at construction) and two symmetry-breaking kinds
@@ -81,6 +82,7 @@ _EXACT_SUPPORT = 64      # largest closed support the exact path diagonalizes
 _POWER_STEPS = 30        # power steps behind each Collatz-Wielandt bound
 _ROUNDING_PAD = 2.0 ** -40  # relative widening of each bound, for rounding
 _MILLER_PAD = 32         # orders the Bessel recurrence starts above its table
+_BESSEL_BUDGET = 2 ** 27  # orders x times the Bessel table may span (3 a t + 100 orders)
 
 
 @dataclass(frozen=True)
@@ -113,22 +115,6 @@ def _check_finite(**coefficients):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _single_flips(lat, cfgs, value):
-    """COO parts (data, rows, cols) of value * sum_i X_i, one block per site."""
-    n = lat.n_sites
-    data = [np.full(len(cfgs), value, dtype=np.float64)] * n
-    rows = [cfgs.astype(np.int64)] * n
-    cols = [(cfgs ^ np.uint32(1 << i)).astype(np.int64) for i in range(n)]
-    return data, rows, cols
-
-
-def _csr(data, rows, cols, dim):
-    return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-
-
 def build_heff(lat, h=1.0):
     """Constrained flip model: -h between pairs related by a legal flip."""
     _check_finite(h=h)
@@ -137,39 +123,29 @@ def build_heff(lat, h=1.0):
     return SparseOperator(matrix=matrix, toggles=(lat.mask_a, lat.mask_b))
 
 
-def _plaquette_energy(lat, cfgs, J):
-    """Diagonal of -J sum_p CZ_p over cfgs."""
-    return -J * cfgmod.cz_signs(cfgs, lat).sum(axis=1).astype(np.float64)
+def _plaquette_model(lat, J, h, constrained):
+    """-J sum_p CZ_p on the diagonal plus -h times move_graph(lat, constrained)."""
+    _check_finite(J=J, h=h)
+    cfgs = cfgmod.config_range(lat.n_sites)
+    energy = -J * cfgmod.cz_signs(cfgs, lat).sum(axis=1).astype(np.float64)
+    flips = move_graph(lat, constrained)
+    flips.data *= -h  # in place, as in build_heff
+    matrix = sp.diags(energy, format="csr") + flips
+    return SparseOperator(matrix=matrix, toggles=(lat.mask_a, lat.mask_b))
 
 
 def build_hczp(lat, J=1.0, h=1.0):
     """Unconstrained plaquette model: -J sum_p CZ_p - h sum_i X_i."""
-    _check_finite(J=J, h=h)
-    cfgs = cfgmod.config_range(lat.n_sites)
-    dim = len(cfgs)
-    diag = _plaquette_energy(lat, cfgs, J)
-    data, rows, cols = _single_flips(lat, cfgs, -h)
-    idx = np.arange(dim, dtype=np.int64)
-    matrix = _csr([diag] + data, [idx] + rows, [idx] + cols, dim)
-    return SparseOperator(matrix=matrix, toggles=(lat.mask_a, lat.mask_b))
+    return _plaquette_model(lat, J, h, constrained=False)
 
 
 def build_czp_strong(lat, J=1.0, h=1.0):
     """CZ_p model at strong coupling: heff's flips plus -J sum_p CZ_p."""
-    _check_finite(J=J, h=h)
-    energy = _plaquette_energy(lat, cfgmod.config_range(lat.n_sites), J)
-    plaquettes = SparseOperator(matrix=_diagonal_operator(energy),
-                                toggles=(lat.mask_a, lat.mask_b))
-    return build_heff(lat, h=h) + plaquettes
+    return _plaquette_model(lat, J, h, constrained=True)
 
 
 def _z_values(cfgs, site):
     return 1.0 - 2.0 * ((cfgs >> np.uint32(site)) & np.uint32(1)).astype(np.float64)
-
-
-def _diagonal_operator(diag):
-    idx = np.arange(len(diag), dtype=np.int64)
-    return _csr([diag], [idx], [idx], len(diag))
 
 
 def _diagonal_commutes_with_toggle(diag, xor_mask):
@@ -177,19 +153,23 @@ def _diagonal_commutes_with_toggle(diag, xor_mask):
     return np.array_equal(diag, diag[np.arange(len(diag)) ^ xor_mask])
 
 
-def _is_uniform_flip_sum(data, rows, cols, dim):
-    """Whether the per-site COO blocks (_single_flips) sum to w sum_i X_i.
+def _is_uniform_flip_sum(matrix, n_sites):
+    """Whether the CSR matrix is w sum_i X_i over n_sites sites.
 
-    Block i must hold one entry per configuration, in row order, flip bit i
-    and carry the one weight w.  Such an operator commutes with every XOR
+    Every row must hold n_sites entries, each in a column whose XOR with the
+    row is a single bit, those bits must cover all sites, and every entry
+    must carry the one weight w.  Such an operator commutes with every XOR
     toggle.  The converse does not hold: this test can reject a symmetric
     operator, but it accepts no other.
     """
-    every = np.arange(dim)
-    w = data[0][0]
-    return all(
-        np.array_equal(r, every) and np.array_equal(c, every ^ (1 << i)) and np.all(d == w)
-        for i, (d, r, c) in enumerate(zip(data, rows, cols))
+    dim = matrix.shape[0]
+    if np.any(np.diff(matrix.indptr) != n_sites):
+        return False
+    bits = matrix.indices.reshape(dim, n_sites) ^ np.arange(dim)[:, None]
+    return bool(
+        np.all(np.bitwise_count(bits) == 1)
+        and np.all(np.bitwise_or.reduce(bits, axis=1) == (1 << n_sites) - 1)
+        and np.all(matrix.data == matrix.data[0])
     )
 
 
@@ -199,20 +179,18 @@ def build_perturbation(lat, kind, lam, seed=0):
     Symmetry is verified at build time, on the unit-strength operator so
     that lam = 0 passes too: the sym_ kinds must commute with both sublattice
     toggles exactly, the break_ kinds must not.  The diagonal kinds are
-    checked by diag[x] == diag[x ^ mask], the transverse field by its
-    structure (every site block flips its own bit, at one weight).  The sym_
-    kinds record both toggles.
+    checked by diag[x] == diag[x ^ mask], the transverse field, the
+    unconstrained move_graph, by its structure (every row flips each bit
+    once, at one weight).  The sym_ kinds record both toggles.
     """
     _check_finite(lam=lam)
     cfgs = cfgmod.config_range(lat.n_sites)
-    dim = len(cfgs)
 
     if kind == "sym_transverse":
-        parts = _single_flips(lat, cfgs, 1.0)
-        matrix = _csr(*parts, dim)
-        symmetric = _is_uniform_flip_sum(*parts, dim)
+        matrix = move_graph(lat, constrained=False)
+        symmetric = _is_uniform_flip_sum(matrix, lat.n_sites)
     elif kind in PERTURBATION_KINDS:
-        diag = np.zeros(dim, dtype=np.float64)
+        diag = np.zeros(len(cfgs), dtype=np.float64)
         if kind == "break_longitudinal_random":
             rng = np.random.default_rng(seed)
             signs = rng.choice(np.array([-1.0, 1.0]), size=lat.n_sites)
@@ -227,7 +205,7 @@ def build_perturbation(lat, kind, lam, seed=0):
                 for dx, dy in offsets:
                     j = lat.site_index(x + dx, y + dy)
                     diag += _z_values(cfgs, i) * _z_values(cfgs, j)
-        matrix = _diagonal_operator(diag)
+        matrix = sp.diags(diag, format="csr")
         symmetric = all(_diagonal_commutes_with_toggle(diag, m) for m in (lat.mask_a, lat.mask_b))
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
@@ -405,11 +383,17 @@ def _chebyshev_coefficients(x, tol):
     K is the smallest order whose Bessel tail sum_{k>=K} 2|J_k(x_j)| is at
     most tol at every x_j; that tail is returned as the bound reached.
     Orders from kmax on are bounded by 4 (|x|/2)^kmax / kmax!, which holds
-    for kmax >= |x| and is kept below tol / 1e6.
+    for kmax >= |x| and is kept below tol / 1e6.  kmax is sought below
+    3 |x| + 100; when that many orders times len(x) exceed _BESSEL_BUDGET,
+    ValueError is raised before anything is allocated.
     """
     from scipy.special import gammaln
 
     xmax = max(float(np.abs(x).max()), 1.0)
+    orders = 3.0 * xmax + 100.0
+    if not orders * len(x) <= _BESSEL_BUDGET:
+        raise ValueError(f"a*t = {xmax:.6g} needs up to {orders:.6g} orders x {len(x)} times, "
+                         f"outside the Bessel table's budget of {_BESSEL_BUDGET} entries")
     ks = np.arange(int(np.ceil(xmax)), int(3 * xmax) + 100)
     log_rest = np.log(4.0) + ks * np.log(xmax / 2.0) - gammaln(ks + 1.0)
     kmax = int(ks[np.argmax(log_rest < np.log(tol) - 6.0 * np.log(10.0))])
@@ -507,10 +491,11 @@ def _propagate(op, psi0, times, tol, rows):
 
 
 def evolve(state, op, t, tol=1e-10):
-    """exp(-i H t)|state> for real symmetric H and any finite t.
+    """exp(-i H t)|state> for real symmetric H and finite t.
 
     Negative t evolves backward.  tol bounds the 2-norm error of the
-    result; t = NaN or +-inf, or a non-finite amplitude, raises ValueError.
+    result; t = NaN or +-inf, a non-finite amplitude, or an a|t| past the
+    Bessel table's budget (_chebyshev_coefficients) raises ValueError.
     """
     t = float(t)
     if not np.isfinite(t):

@@ -107,18 +107,20 @@ def symmetry_orbit(cfg, lat):
 
 
 def enumerate_blocks(lat):
-    """All logical blocks at this size, sorted by representative."""
+    """All logical blocks at this size, each alpha its orbit's minimum, sorted by alpha.
+
+    Every orbit member must lie in the code-state scan, else OrbitDegeneracyError.
+    """
     states = code_states(lat)
-    seen = set()
-    blocks = []
-    for cfg in states.tolist():
-        if cfg in seen:
-            continue
-        orbit = symmetry_orbit(cfg, lat)
-        seen |= orbit
-        blocks.append(LogicalBlock(lattice=lat, alpha=min(orbit)))
-    blocks.sort(key=lambda b: b.alpha)
-    return blocks
+    orbits = states[:, None] ^ np.array([0, lat.mask_a, lat.mask_b, lat.mask_a ^ lat.mask_b])
+    found = states[np.searchsorted(states, orbits).clip(max=len(states) - 1)] == orbits
+    if not np.all(found):
+        i, j = np.argwhere(~found)[0]
+        raise OrbitDegeneracyError(
+            f"orbit member {orbits[i, j]:#x} of {states[i]:#x} is not a code state"
+        )
+    alphas = states[orbits.min(axis=1) == states]
+    return [LogicalBlock(lattice=lat, alpha=alpha) for alpha in alphas.tolist()]
 
 
 def embed_block_operator(block, small):

@@ -13,9 +13,11 @@ Three independent routes are provided and cross-checked by the tests:
   intersections), compared against the closed-form count 2^(L+2) - 8.
   code_states lists the code states of the same scan.
 * krylov_decompose: connected components of the move graph (move_graph),
-  the same sparse adjacency that dynamics.build_heff scales by -h.  The
-  labelling helper connected_components also labels the clock model's
-  sectors in quadflip.
+  the same sparse adjacency that dynamics.build_heff scales by -h.  With
+  constrained=False, move_graph allows every single flip: that graph is the
+  transverse field of dynamics.build_hczp and of the sym_transverse
+  perturbation.  The labelling helper connected_components also labels the
+  clock model's sectors in quadflip.
 * count_code_states_transfer: row transfer method for even L up to 12.
   A transfer state is an ordered pair of adjacent rows that is "clean"
   (no plaquette between the rows has CZ = -1); a transition (a,b) -> (b,c)
@@ -121,18 +123,19 @@ def code_states(lat: Lattice) -> np.ndarray:
 # full decomposition: connected components of the move graph
 
 
-def move_graph(lat: Lattice) -> sp.csr_matrix:
-    """Unit-weight CSR adjacency of legal flips on the packed basis.
+def move_graph(lat: Lattice, constrained=True) -> sp.csr_matrix:
+    """Unit-weight CSR adjacency of single flips on the packed basis.
 
     Row cfg holds 1.0 at column cfg ^ (1 << i) for every site i that
-    flippable_mask allows in cfg.  The reverse flip is legal too (the
-    neighbors of i are unchanged), so the matrix is symmetric.
+    flippable_mask allows in cfg, or for every site when constrained is
+    False.  The reverse flip is legal too (the neighbors of i are
+    unchanged), so the matrix is symmetric.
     """
     cfgs = cfgmod.config_range(lat.n_sites)
     rows = []
     cols = []
     for i in range(lat.n_sites):
-        src = cfgs[cfgmod.flippable_mask(cfgs, lat, i)]
+        src = cfgs[cfgmod.flippable_mask(cfgs, lat, i)] if constrained else cfgs
         rows.append(src.astype(np.int64))
         cols.append((src ^ np.uint32(1 << i)).astype(np.int64))
     rows = np.concatenate(rows)

@@ -1,8 +1,11 @@
-"""Transversal logical gates acting on full dense state vectors.
+"""Transversal logical gates on full dense state vectors, and their ideal action.
 
 All gates are products of single-site (or disjoint two-site) physical gates
-and are applied as in-place amplitude sweeps paired by bit masks; no gate
-matrix is ever materialized.
+and are applied as in-place amplitude sweeps paired by bit masks; no
+full-space gate matrix is ever materialized.  logical_gate is the one table
+of what each gate should do to a block: a 4 x 4 matrix on the members, in
+MEMBER_LABELS order, built from the logical Pauli table, or None where the
+gate leaks.
 
 * apply_rx: product of single-site x rotations over one sublattice.  Exact
   logical X at theta = pi (up to the global phase (-i)^N_s); at generic
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import logical_tomography
+from .encoding import _TWO_QUBIT, logical_tomography
 
 
 def _rotate_x_site(psi, site, cos_half, sin_half):
@@ -96,8 +99,28 @@ def cnot_permutation(block):
 
 def apply_logical_cnot(state, block):
     """Dressed transversal CNOT (control qubit A, target qubit B)."""
-    perm = cnot_permutation(block)
-    return state[perm]
+    return state[cnot_permutation(block)]
+
+
+def logical_gate(lat, gate, sublattice="A", angle=0.0):
+    """Ideal 4 x 4 action of a gate on a block's members, MEMBER_LABELS order.
+
+    "cnot" (control A, target B) permutes the members: |a b> -> |a, a xor b>.
+    "rz" is diag(exp(-i (-1)^sigma_s angle/2)) on the sublattice's qubit.
+    "rx" is (-i)^N_s X_s at angle = pi (to 1e-15) and None at any other
+    angle, where apply_rx leaks out of the block.
+    """
+    _sublattice(lat, sublattice)
+    pauli = {k: _TWO_QUBIT[(k, "I") if sublattice == "A" else ("I", k)] for k in "XZ"}
+    if gate == "cnot":
+        # |0><0|_A (x) I + |1><1|_A (x) X_B = (II + ZI + IX - ZX) / 2
+        t = _TWO_QUBIT
+        return 0.5 * (t["I", "I"] + t["Z", "I"] + t["I", "X"] - t["Z", "X"])
+    if gate == "rz":
+        return np.diag(np.exp(-0.5j * angle * pauli["Z"].diagonal()))
+    if gate == "rx":
+        return (-1j) ** lat.n_sublattice * pauli["X"] if abs(angle - math.pi) < 1e-15 else None
+    raise ValueError(f"gate must be 'cnot', 'rx' or 'rz', got {gate!r}")
 
 
 @dataclass(frozen=True)
@@ -155,11 +178,6 @@ def gate_report(block, gate_name, params, state_in, state_out,
         fidelity=fidelity,
         global_phase=phase,
     )
-
-
-def rx_pi_global_phase(n_sublattice):
-    """The exact global phase (-i)^N_s picked up by apply_rx at theta = pi."""
-    return (-1j) ** n_sublattice
 
 
 def rx_half_pi_population(n_sublattice):

@@ -155,46 +155,35 @@ def criterion_pauli_algebra(lat, blocks):
 
 def criterion_gates(lat, blocks, seed):
     block = blocks[0]
-    n_s = lat.n_sublattice
     rng = np.random.default_rng(seed)
+    basis = np.eye(4)
 
     # exact logical z rotation on every corner, 20 random angles
     rz_err = 0.0
     for phi in rng.uniform(0.0, 2.0 * np.pi, size=20):
-        for k, (sa, sb) in enumerate(enc.MEMBER_LABELS):
-            amps = np.zeros(4)
-            amps[k] = 1.0
-            psi = enc.logical_state(block, amps)
-            for s, sigma in (("A", sa), ("B", sb)):
-                out = gates.apply_rz(psi, block, s, phi)
-                expected = np.exp(-1j * ((-1.0) ** sigma) * phi / 2.0) * psi
+        for s in ("A", "B"):
+            ideal = gates.logical_gate(lat, "rz", s, phi)
+            for amps in basis:
+                out = gates.apply_rz(enc.logical_state(block, amps), block, s, phi)
+                expected = enc.logical_state(block, ideal @ amps)
                 rz_err = max(rz_err, float(np.abs(out - expected).max()))
 
     # x rotation at pi: logical X with global phase (-i)^N_s
-    psi00 = enc.logical_state(block, (1.0, 0.0, 0.0, 0.0))
+    psi00 = enc.logical_state(block, basis[0])
     out = gates.apply_rx(psi00, lat, "A", np.pi)
-    expected = gates.rx_pi_global_phase(n_s) * enc.logical_state(
-        block, (0.0, 0.0, 1.0, 0.0)
-    )
-    rx_pi_fidelity = float(
-        abs(np.vdot(enc.logical_state(block, (0.0, 0.0, 1.0, 0.0)), out))
-    )
+    expected = enc.logical_state(block, gates.logical_gate(lat, "rx", "A", np.pi) @ basis[0])
+    rx_pi_fidelity = float(abs(np.vdot(expected, out)))
     rx_pi_exact = float(np.abs(out - expected).max())
 
     # x rotation at pi/2: leakage against the closed form
     out_half = gates.apply_rx(psi00, lat, "A", np.pi / 2.0)
     population = enc.logical_tomography(out_half, block)["population"]
-    leak_err = abs((1.0 - population) - (1.0 - gates.rx_half_pi_population(n_s)))
+    leak_err = abs((1.0 - population) - (1.0 - gates.rx_half_pi_population(lat.n_sublattice)))
 
     # dressed CNOT: exact truth table and logical Bell pair
-    perm = gates.cnot_permutation(block)
-    members = block.members
-    table_ok = (
-        perm[members[0]] == members[0]
-        and perm[members[1]] == members[1]
-        and perm[members[2]] == members[3]
-        and perm[members[3]] == members[2]
-    )
+    members = np.array(block.members)
+    targets = members[np.argmax(np.abs(gates.logical_gate(lat, "cnot")), axis=0)]
+    table_ok = np.array_equal(gates.cnot_permutation(block)[members], targets)
     probe = enc.logical_state(block, enc.DEFAULT_PROBE)
     bell = gates.apply_logical_cnot(probe, block)
     tom = enc.logical_tomography(bell, block)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,29 @@ def test_input_error_exit_code(capsys, argv):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert json.loads(line)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--perturbation", "sym_transverse", "--tmax", "1e15"),
+    ("evolve", "--perturbation", "sym_transverse", "--lambda", "1e300"),
+])
+def test_grid_past_the_bessel_budget_exits_2_before_allocating(capsys, argv):
+    # a*t of 8e15 or 8e302 would ask for a Bessel table of that many orders;
+    # the budget check raises first, so the peak is the operator's build
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "ValueError"
+    assert "a*t" in error["message"] and "budget" in error["message"]
+    assert peak < 2 ** 27
 
 
 @pytest.mark.parametrize("argv", [

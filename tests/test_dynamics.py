@@ -156,8 +156,8 @@ def test_diagonal_symmetry_check_agrees_with_conjugation(lat, kind):
 def test_symmetry_check_rejects_one_changed_diagonal_entry(lat, kind, monkeypatch):
     # z of site 0 changed in the all-up configuration, where every partner
     # of site 0 has z = 1, changes that one diagonal entry; for the
-    # transverse field, the weight of one flip of site 0 changes
-    z_values, single_flips = dyn._z_values, dyn._single_flips
+    # transverse field, one weight of the unconstrained move graph changes
+    z_values, move_graph = dyn._z_values, dyn.move_graph
 
     def changed(cfgs, site):
         z = z_values(cfgs, site)
@@ -165,21 +165,30 @@ def test_symmetry_check_rejects_one_changed_diagonal_entry(lat, kind, monkeypatc
             z[0] += 0.5
         return z
 
-    def changed_weight(lat, cfgs, value):
-        data, rows, cols = single_flips(lat, cfgs, value)
-        data = [data[0].copy()] + data[1:]   # the sites share one weight array
-        data[0][0] += 0.5
-        changed_op = dyn._csr(data, rows, cols, len(cfgs))
-        assert not commutes_with_toggle(changed_op, lat.mask_a, len(cfgs))
-        return data, rows, cols
+    def changed_weight(lat, constrained=True):
+        graph = move_graph(lat, constrained)
+        graph.data[0] += 0.5
+        assert not commutes_with_toggle(graph, lat.mask_a, graph.shape[0])
+        return graph
 
     monkeypatch.setattr(dyn, "_z_values", changed)
-    monkeypatch.setattr(dyn, "_single_flips", changed_weight)
+    monkeypatch.setattr(dyn, "move_graph", changed_weight)
     if kind.startswith("sym_"):
         with pytest.raises(AssertionError):
             dyn.build_perturbation(lat, kind, 0.05, seed=7)
     else:
         assert dyn.build_perturbation(lat, kind, 0.05, seed=7).toggles == ()
+
+
+def test_uniform_flip_sum_check_rejects_other_flip_graphs(lat):
+    n = lat.n_sites
+    graph = dyn.move_graph(lat, constrained=False)
+    assert dyn._is_uniform_flip_sum(graph, n)
+    assert not dyn._is_uniform_flip_sum(dyn.move_graph(lat), n)  # rows of other lengths
+    for column in (3, 2):  # row 0's flip of bit 0 moved to two bits, or onto bit 1
+        changed = graph.copy()
+        changed.indices[0] = column
+        assert not dyn._is_uniform_flip_sum(changed, n)
 
 
 @pytest.mark.parametrize("kind", dyn.PERTURBATION_KINDS)

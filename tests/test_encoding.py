@@ -74,6 +74,13 @@ def test_symmetry_orbit_rejects_non_code(lat):
         enc.symmetry_orbit(0, lat)
 
 
+def test_enumerate_blocks_rejects_a_scan_missing_an_orbit_member(lat, monkeypatch):
+    states = code_states(lat)
+    monkeypatch.setattr(enc, "code_states", lambda lat: np.delete(states, 5))
+    with pytest.raises(enc.OrbitDegeneracyError):
+        enc.enumerate_blocks(lat)
+
+
 def test_block_counts(lat, blocks):
     assert (len(code_states(lat)), len(blocks), 2 * len(blocks)) == (56, 14, 28)
 

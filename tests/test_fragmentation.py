@@ -393,6 +393,16 @@ def test_move_graph_rows_match_scalar_predicate(lat):
         assert set(row) == expected
 
 
+def test_unconstrained_move_graph_rows_flip_every_site(lat):
+    adj = fr.move_graph(lat, constrained=False)
+    assert (adj != adj.T).nnz == 0
+    assert np.all(adj.data == 1.0)
+    rng = np.random.default_rng(1)
+    for c in rng.integers(0, 1 << lat.n_sites, size=300).tolist():
+        row = adj.indices[adj.indptr[c]:adj.indptr[c + 1]].tolist()
+        assert sorted(row) == sorted(c ^ (1 << i) for i in range(lat.n_sites))
+
+
 def test_decomposition_matches_label_propagation_oracle(sectors):
     # independent full decomposition: every configuration starts with its own
     # label and takes the smallest label across each legal flip until nothing

@@ -35,7 +35,7 @@ def test_rx_pi_is_logical_x_with_global_phase(lat, block):
     for s, flipped in (("A", 2), ("B", 1)):
         psi = basis_state(block, 0)
         out = gates.apply_rx(psi, lat, s, np.pi)
-        expected = gates.rx_pi_global_phase(n_s) * basis_state(block, flipped)
+        expected = (-1j) ** n_s * basis_state(block, flipped)
         assert np.abs(out - expected).max() <= 1e-12
 
 
@@ -170,7 +170,7 @@ def test_gate_report_rx_pi_phase(lat, block):
         block, "rx", {"theta": np.pi}, psi, out, expected=basis_state(block, 2)
     )
     assert rep.fidelity == pytest.approx(1.0, abs=1e-10)
-    assert rep.global_phase == pytest.approx(gates.rx_pi_global_phase(8))
+    assert rep.global_phase == pytest.approx((-1j) ** 8)
 
 
 def test_gate_report_rx_half_pi_leakage(lat, block):
@@ -186,3 +186,30 @@ def test_unknown_sublattice_rejected(lat, block):
         gates.apply_rz(psi, block, "C", 0.3)
     with pytest.raises(ValueError):
         gates.apply_rx(psi, lat, "C", 0.3)
+    with pytest.raises(ValueError):
+        gates.logical_gate(lat, "rz", "C", 0.3)
+    with pytest.raises(ValueError):
+        gates.logical_gate(lat, "ry", "A", 0.3)
+
+
+def test_logical_gate_matches_the_physical_gates_on_every_block(lat):
+    # the ideal table against the physical sweeps: CNOT on the four basis
+    # states and the probe, RZ on both sublattices at seeded angles, RX at pi
+    rng = np.random.default_rng(37)
+    phis = rng.uniform(0.0, 2.0 * np.pi, size=3)
+    cnot = gates.logical_gate(lat, "cnot")
+    for block in enc.enumerate_blocks(lat):
+        for amps in list(np.eye(4)) + [np.array(enc.DEFAULT_PROBE)]:
+            psi = enc.logical_state(block, amps)
+            out = gates.apply_logical_cnot(psi, block)
+            assert np.abs(out - enc.logical_state(block, cnot @ amps)).max() <= 1e-12
+        for amps in np.eye(4):
+            psi = enc.logical_state(block, amps)
+            for s in ("A", "B"):
+                for phi in phis:
+                    ideal = enc.logical_state(block, gates.logical_gate(lat, "rz", s, phi) @ amps)
+                    assert np.abs(gates.apply_rz(psi, block, s, phi) - ideal).max() <= 1e-12
+                ideal = enc.logical_state(block, gates.logical_gate(lat, "rx", s, np.pi) @ amps)
+                assert np.abs(gates.apply_rx(psi, lat, s, np.pi) - ideal).max() <= 1e-10
+    assert gates.logical_gate(lat, "rx", "A", 1.0) is None
+    assert gates.logical_gate(lat, "rx", "B", 1.0) is None
