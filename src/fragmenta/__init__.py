@@ -9,7 +9,7 @@ quadflip module provides the m-state clock generalization with qudit
 sectors.
 """
 
-from .lattice import Lattice, build_lattice, cnot_partner
+from .lattice import Lattice, build_lattice
 from .fragmentation import (
     EnumerationReport,
     KrylovSector,
@@ -20,14 +20,12 @@ from .fragmentation import (
 )
 from .encoding import (
     LogicalBlock,
-    LogicalOperator,
     block_tomography,
     embed_block_operator,
     enumerate_blocks,
     logical_operator,
     logical_state,
     logical_tomography,
-    symmetry_orbit,
     verify_pauli_algebra,
 )
 from .dynamics import (

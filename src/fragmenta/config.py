@@ -3,9 +3,10 @@
 A configuration is a plain Python int: bit k is the state of site k (1 means
 |1>), so a configuration doubles as the index of its basis state in a dense
 state vector.  Bits at or above L^2 are always zero.  Functions come in two
-flavors: scalar predicates on a single int (the reference definitions) and
-vectorized kernels on numpy arrays of packed configurations (the enumeration
-fast path; arrays must use an unsigned dtype wide enough for L^2 bits).
+flavors: scalar predicates on a single int (the reference definitions the
+tests check the kernels against) and vectorized kernels on numpy arrays of
+packed configurations (the path the program runs; arrays must use an
+unsigned dtype wide enough for L^2 bits).
 
 Plaquette conventions: the CZ eigenvalue of a plaquette is (-1)^(number of
 plaquette edges with both endpoints in |1>), which reduces to the closed form
@@ -22,11 +23,6 @@ import numpy as np
 def bit(cfg, site):
     """Bit of site `site` (works on ints and numpy arrays alike)."""
     return (cfg >> site) & 1
-
-
-def apply_flip(cfg, site):
-    """Toggle one site.  Legality (is_flippable) is the caller's business."""
-    return cfg ^ (1 << site)
 
 
 def cz_plaquette(cfg, lat, p):

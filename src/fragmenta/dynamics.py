@@ -97,10 +97,6 @@ class SparseOperator:
     matrix: sp.csr_matrix
     toggles: tuple = ()
 
-    @property
-    def dimension(self):
-        return self.matrix.shape[0]
-
     def apply(self, vec):
         return self.matrix @ vec
 
@@ -338,16 +334,20 @@ def _spectral_interval(sectors):
     than Gershgorin's.
 
     Both are taken in the trivial sector of |O|, which gives the full
-    space's bounds (see the module docstring).
+    space's bounds (see the module docstring).  An operator too large for
+    floating point overflows silently here and raises ValueError once the
+    centre or half-width is not finite.
     """
     absO = sectors.abs_offdiagonal()
     d = sectors.diagonal
-    radius = np.asarray(absO.sum(axis=1)).ravel()
-    lo = -_collatz_wielandt_max(absO, -d)
-    hi = _collatz_wielandt_max(absO, d)
-    lo = max(lo, float(np.min(d - radius)))
-    hi = min(hi, float(np.max(d + radius)))
-    return 0.5 * (hi + lo), 0.5 * (hi - lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        radius = np.asarray(absO.sum(axis=1)).ravel()
+        lo = max(-_collatz_wielandt_max(absO, -d), float(np.min(d - radius)))
+        hi = min(_collatz_wielandt_max(absO, d), float(np.max(d + radius)))
+    c, a = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    if not (np.isfinite(c) and np.isfinite(a)):
+        raise ValueError(f"the spectral interval [{lo:.6g}, {hi:.6g}] is not finite")
+    return c, a
 
 
 def _bessel_table(x, n):
@@ -371,7 +371,8 @@ def _bessel_table(x, n):
         scale += e
         if k <= n:
             mantissa[k - 1], exponent[k - 1] = prev, scale
-    table = np.ldexp(mantissa, exponent - exponent.max(axis=0))
+    exponent -= exponent.max(axis=0)
+    table = np.ldexp(mantissa, exponent, out=mantissa)
     table /= table[0] + 2.0 * table[2::2].sum(axis=0)
     table[1::2, x < 0] *= -1.0  # J_k(-x) = (-1)^k J_k(x)
     return table
@@ -399,7 +400,9 @@ def _chebyshev_coefficients(x, tol):
     kmax = int(ks[np.argmax(log_rest < np.log(tol) - 6.0 * np.log(10.0))])
     bessel = _bessel_table(x, kmax)
     tails = np.zeros(kmax + 1)
-    tails[:kmax] = np.cumsum(2.0 * np.abs(bessel[::-1]), axis=0)[::-1].max(axis=1)
+    rest = np.abs(bessel[::-1])
+    tails[:kmax] = 2.0 * np.cumsum(rest, axis=0, out=rest)[::-1].max(axis=1)
+    del rest  # freed before the complex coefficients are allocated
     tails += np.exp(log_rest[kmax - ks[0]])
     order = int(np.argmax(tails <= tol))
     phases = np.array([1.0, -1j, -1.0, 1j])[np.arange(order) % 4]

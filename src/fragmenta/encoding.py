@@ -5,12 +5,13 @@ code manifold splits into orbits of four under the two commuting sublattice
 toggles.  Each orbit is a LogicalBlock encoding two qubits: the block's
 canonical representative alpha fixes the (0,0) corner and the member with
 labels (sigma_A, sigma_B) is alpha with the corresponding sublattice masks
-XORed in.
+XORed in.  enumerate_blocks checks every orbit of the code-state scan in one
+vectorized pass.
 
 Everything in the logical layer is held on the four members, in
-MEMBER_LABELS order.  A logical operator is the 4 x 4 matrix kind_a (x)
-kind_b from one table, with the identity on the partner qubit, so the A
-and B algebras commute and no operator has an entry off its block.
+MEMBER_LABELS order.  A logical operator is the read-only 4 x 4 matrix
+kind_a (x) kind_b from one table, with the identity on the partner qubit, so
+the A and B algebras commute and no operator has an entry off its block.
 embed_block_operator places such a matrix in the full 2^(L^2) space, where
 the block projector is checked; tomography reads the four amplitudes.  The
 tests compare every operator with the full-space construction from rank-1
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import config as cfgmod
 from .fragmentation import code_states
 from .lattice import Lattice
 
@@ -78,34 +78,6 @@ class LogicalBlock:
         return 1 << self.lattice.n_sites
 
 
-@dataclass(frozen=True)
-class LogicalOperator:
-    block: LogicalBlock
-    sublattice: str  # "A" or "B"
-    kind: str        # "I", "X", "Y" or "Z"
-    matrix: np.ndarray  # 4 x 4 on block.members, MEMBER_LABELS order
-
-
-def symmetry_orbit(cfg, lat):
-    """The four symmetry-related code states {cfg, X_A cfg, X_B cfg, X_A X_B cfg}.
-
-    Rejects non-code input; raises OrbitDegeneracyError if the orbit fails to
-    have four distinct code states (this would break the two-qubit encoding
-    and cannot happen for nonempty sublattice masks, but is checked anyway).
-    """
-    if not cfgmod.is_code_state(cfg, lat):
-        raise ValueError(f"configuration {cfg:#x} is not a code state")
-    orbit = (cfg, cfg ^ lat.mask_a, cfg ^ lat.mask_b, cfg ^ lat.mask_a ^ lat.mask_b)
-    if len(set(orbit)) != 4:
-        raise OrbitDegeneracyError(f"orbit of {cfg:#x} has fewer than 4 members")
-    for member in orbit[1:]:
-        if not cfgmod.is_code_state(member, lat):
-            raise OrbitDegeneracyError(
-                f"orbit member {member:#x} of {cfg:#x} is not a code state"
-            )
-    return set(orbit)
-
-
 def enumerate_blocks(lat):
     """All logical blocks at this size, each alpha its orbit's minimum, sorted by alpha.
 
@@ -134,7 +106,7 @@ def embed_block_operator(block, small):
 
 
 def logical_operator(block, sublattice, kind):
-    """Logical I/X/Y/Z for one sublattice qubit, as a 4 x 4 matrix on the block.
+    """Logical I/X/Y/Z for one sublattice qubit, as a read-only 4 x 4 matrix on the block.
 
     I is the block identity (independent of sublattice); X, Y, Z act on the
     chosen qubit and as identity on the partner qubit.
@@ -143,9 +115,7 @@ def logical_operator(block, sublattice, kind):
         raise ValueError(f"sublattice must be 'A' or 'B', got {sublattice!r}")
     if kind not in _PAULI:
         raise ValueError(f"kind must be one of I, X, Y, Z, got {kind!r}")
-    pair = (kind, "I") if sublattice == "A" else ("I", kind)
-    return LogicalOperator(block=block, sublattice=sublattice, kind=kind,
-                           matrix=_TWO_QUBIT[pair])
+    return _TWO_QUBIT[(kind, "I") if sublattice == "A" else ("I", kind)]
 
 
 def _max_abs(matrix):
@@ -163,7 +133,7 @@ def verify_pauli_algebra(block):
     products stay exact in floating point.
     """
     ops = {
-        (s, k): logical_operator(block, s, k).matrix
+        (s, k): logical_operator(block, s, k)
         for s in ("A", "B")
         for k in ("I", "X", "Y", "Z")
     }

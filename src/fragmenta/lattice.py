@@ -37,7 +37,7 @@ class Lattice:
     b_sites: np.ndarray               # sorted B-site indices
     mask_a: int                       # bitmask of all A sites (X_A toggle)
     mask_b: int                       # bitmask of all B sites (X_B toggle)
-    cnot_partner_table: np.ndarray = field(repr=False, default=None)  # (n_sites,), -1 on B
+    cnot_partner_table: np.ndarray = field(repr=False)  # (n_sites,), -1 on B
 
     def site_index(self, x, y):
         return (y % self.L) * self.L + (x % self.L)
@@ -123,10 +123,3 @@ def build_lattice(L):
         mask_b=mask_b,
         cnot_partner_table=partner,
     )
-
-
-def cnot_partner(lat, i):
-    """B-sublattice partner of A site i under the row-parity pairing."""
-    if lat.sublattice[i] != SUBLATTICE_A:
-        raise ValueError(f"site {i} is not on sublattice A")
-    return int(lat.cnot_partner_table[i])

@@ -109,14 +109,13 @@ def _index_of(codes, targets):
     return idx
 
 
-def move_graph(lat, digits, m):
+def move_graph(lat, digits, m, place, codes):
     """Unit-weight CSR adjacency of the recoloring moves on the valid colorings.
 
+    place holds the digit weights m^(n_links-1-l) and codes = digits @ place.
     Row i holds 1.0 at every coloring one star recoloring reaches from i;
     the reverse move is legal too, so the matrix is symmetric.
     """
-    place = m ** np.arange(lat.n_links - 1, -1, -1, dtype=np.int64)
-    codes = digits.astype(np.int64) @ place
     rows, cols = [], []
     for star in lat.star_links:
         src = np.flatnonzero((digits[:, star] == digits[:, star[:1]]).all(axis=1))
@@ -145,9 +144,9 @@ class ClockSectors:
 def krylov_decompose_quadflip(L, m=3):
     """Exhaustive sector decomposition of the valid configuration space."""
     lat, digits = enumerate_valid(L, m)
-    labels, reps, sizes = connected_components(move_graph(lat, digits, m))
     place = m ** np.arange(lat.n_links - 1, -1, -1, dtype=np.int64)
     codes = digits.astype(np.int64) @ place
+    labels, reps, sizes = connected_components(move_graph(lat, digits, m, place, codes))
     shift = _index_of(codes, ((digits + 1) % m).astype(np.int64) @ place)
     return lat, ClockSectors(m, digits, labels, reps, sizes, shift)
 

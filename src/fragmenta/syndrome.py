@@ -10,10 +10,11 @@ flips the sign of the logical X coherence: detectable asymmetry in one
 direction only, which is what rules this encoding out as an error
 correcting code.
 
-Errors act on a support (configs, amplitudes): the basis states a state
-occupies and their amplitudes.  A single-site Pauli maps it to a support of
-the same length, so the detection probe, two amplitudes on its block, is
-hit, read out and tomographed on two configurations.
+Errors act on, and syndromes are read from, a support (configs,
+amplitudes): the basis states a state occupies and their amplitudes.  A
+single-site Pauli maps it to a support of the same length, so the detection
+probe, two amplitudes on its block, is hit, read out and tomographed on two
+configurations.
 """
 
 from dataclasses import dataclass
@@ -38,25 +39,15 @@ class SyndromeResult:
         return sum(1 for s in self.signs if s != 1)
 
 
-def extract_syndrome(state_or_cfg, lat, tol=1e-12):
-    """Stabilizer signs of a configuration, a support or a dense state vector.
+def extract_syndrome(support, lat, tol=1e-12):
+    """Stabilizer signs of a support (configs, amplitudes).
 
-    A support is a tuple (configs, amplitudes); a dense vector's support is
-    its nonzero entries and a configuration's is itself.  Amplitudes with
-    |c|^2 <= tol are dropped.  Every basis state left must share one
-    stabilizer pattern (true for code states and their X/Z-error
+    Amplitudes with |c|^2 <= tol are dropped.  Every basis state left must
+    share one stabilizer pattern (true for code states and their X/Z-error
     descendants); otherwise the per-plaquette expectation values are
     returned with uniform=False rather than silently averaged.
     """
-    if isinstance(state_or_cfg, (int, np.integer)):
-        configs, amplitudes = np.array([int(state_or_cfg)]), np.ones(1)
-    elif isinstance(state_or_cfg, tuple):
-        configs, amplitudes = map(np.asarray, state_or_cfg)
-    else:
-        state = np.asarray(state_or_cfg)
-        # astype(bool) marks what nonzero() marks, several times faster on complex
-        configs = np.flatnonzero(state.astype(bool))
-        amplitudes = state[configs]
+    configs, amplitudes = map(np.asarray, support)
     outside = configs[(configs < 0) | (configs >= 1 << lat.n_sites)]
     if len(outside):
         raise ValueError(f"configuration {outside[0]} is outside [0, 2**{lat.n_sites})")

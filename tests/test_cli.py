@@ -195,6 +195,20 @@ def test_grid_past_the_bessel_budget_exits_2_before_allocating(capsys, argv):
     assert peak < 2 ** 27
 
 
+@pytest.mark.filterwarnings("error")
+def test_operator_past_floating_point_range_exits_2(capsys):
+    # lambda = 1e308 is finite, but the interval's row sums overflow; that
+    # is one ValueError naming the interval, with no warning before it
+    code = main(["evolve", "--perturbation", "sym_transverse", "--lambda", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "ValueError"
+    assert "spectral interval" in error["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ("gates-demo", "--gate", "rx", "--theta", "nan"),
     ("gates-demo", "--gate", "rz", "--phi", "inf"),

@@ -157,13 +157,6 @@ def test_stabilizer_parity_identity(lat):
             assert cm.stabilizer_zp(cfg, lat, p) == expected
 
 
-def test_apply_flip(lat):
-    assert cm.apply_flip(cm.apply_flip(0, 5), 5) == 0
-    assert bin(cm.apply_flip(0, 0)).count("1") == 1
-    cfg = 0b1011
-    assert bin(cfg ^ cm.apply_flip(cfg, 7)).count("1") == 1
-
-
 def test_symmetry_covariance(lat):
     # cz and frozenness are invariant under the sublattice toggles
     rng = np.random.default_rng(11)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fragmenta.lattice import SUBLATTICE_A, SUBLATTICE_B, build_lattice, cnot_partner
+from fragmenta.lattice import SUBLATTICE_A, SUBLATTICE_B, build_lattice
 
 
 def test_basic_counts():
@@ -83,23 +83,24 @@ def test_plaquette_corners_cyclic():
 
 def test_cnot_partner_rule():
     lat = build_lattice(4)
+    partner = lat.cnot_partner_table
     # (0,0) sits in an even row: partner to the left, wrapping to (3,0)
-    assert cnot_partner(lat, lat.site_index(0, 0)) == lat.site_index(3, 0)
+    assert partner[lat.site_index(0, 0)] == lat.site_index(3, 0)
     # (1,1) sits in an odd row: partner to the right
-    assert cnot_partner(lat, lat.site_index(1, 1)) == lat.site_index(2, 1)
+    assert partner[lat.site_index(1, 1)] == lat.site_index(2, 1)
 
 
 def test_cnot_partner_rejects_b_sites():
+    # B sites have no partner: the table holds -1 on every one of them
     lat = build_lattice(4)
-    with pytest.raises(ValueError):
-        cnot_partner(lat, lat.site_index(1, 0))
+    assert np.all(lat.cnot_partner_table[lat.b_sites] == -1)
 
 
 @pytest.mark.parametrize("L", [4, 6, 8])
 def test_cnot_partner_bijection(L):
     lat = build_lattice(L)
-    partners = [cnot_partner(lat, int(i)) for i in lat.a_sites]
-    assert sorted(partners) == lat.b_sites.tolist()
+    partners = lat.cnot_partner_table[lat.a_sites]
+    assert sorted(partners.tolist()) == lat.b_sites.tolist()
 
 
 def test_sublattice_masks():

@@ -100,6 +100,13 @@ def member_sets(sectors, orbit):
 ORACLE_CASES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
 
 
+def move_graph(L, m):
+    """qf.move_graph on the valid colorings, with codes read link 0 first."""
+    lat, digits = qf.enumerate_valid(L, m)
+    place = m ** np.arange(lat.n_links - 1, -1, -1, dtype=np.int64)
+    return qf.move_graph(lat, digits, m, place, digits.astype(np.int64) @ place)
+
+
 @pytest.fixture(scope="module")
 def lat():
     return build_clock_lattice(2)
@@ -136,7 +143,7 @@ def test_move_graph_matches_oracle_moves(L, m):
         for c in valid
         for cell, _, target in legal_moves(c, lat, m)
     }
-    graph = qf.move_graph(lat, qf.enumerate_valid(L, m)[1], m).tocoo()
+    graph = move_graph(L, m).tocoo()
     edges = list(zip(graph.row.tolist(), graph.col.tolist()))
     assert len(edges) == len(expected)
     assert set(edges) == expected
@@ -259,7 +266,7 @@ def test_uniform_config_moves(lat, valid_configs):
     assert len(moves) == 4 * 2
     cells = {m[0] for m in moves}
     assert cells == set(range(4))
-    graph = qf.move_graph(lat, qf.enumerate_valid(2, 3)[1], 3)
+    graph = move_graph(2, 3)
     assert graph[valid_configs.index(cfg)].nnz == 4 * 2
 
 
@@ -268,7 +275,7 @@ def test_move_then_reverse_is_identity(lat, valid_configs):
         for cell, kappa, target in legal_moves(cfg, lat, 3):
             moved = apply_move(cfg, lat, cell, target)
             assert apply_move(moved, lat, cell, kappa) == cfg
-    graph = qf.move_graph(lat, qf.enumerate_valid(2, 3)[1], 3)
+    graph = move_graph(2, 3)
     assert (graph != graph.T).nnz == 0
 
 
