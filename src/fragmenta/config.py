@@ -145,25 +145,8 @@ def stabilizer_signs(cfgs, lat):
 # textual config literal: L, then L rows of 0/1 characters, row y on line y
 
 
-def parse_config_literal(text):
-    """Parse the textual format into (cfg, L)."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    L = int(lines[0])
-    rows = lines[1:]
-    if len(rows) != L:
-        raise ValueError(f"expected {L} rows, got {len(rows)}")
-    cfg = 0
-    for y, row in enumerate(rows):
-        if len(row) != L or set(row) - {"0", "1"}:
-            raise ValueError(f"row {y} is not {L} characters of 0/1: {row!r}")
-        for x, ch in enumerate(row):
-            if ch == "1":
-                cfg |= 1 << (y * L + x)
-    return cfg, L
-
-
 def format_config_literal(cfg, L):
-    """Inverse of parse_config_literal."""
+    """The textual form of cfg: L, then row y of sites x = 0..L-1 on line y."""
     rows = []
     for y in range(L):
         rows.append("".join("1" if bit(cfg, y * L + x) else "0" for x in range(L)))

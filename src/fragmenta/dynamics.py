@@ -8,11 +8,11 @@ column alike.  The unconstrained plaquette model couples all single-flip
 pairs and adds the diagonal -J * sum_p CZ_p; the sym_transverse
 perturbation is that unconstrained graph itself.
 
-Perturbations come in two symmetric kinds (commute with both sublattice
-toggles exactly; verified at construction) and two symmetry-breaking kinds
-(longitudinal random-sign fields and nearest-neighbor ZZ).  Random signs
-are used for the breaking default because a uniform field can have a
-vanishing first-order effect on sublattice-balanced code states.
+Perturbations come in two symmetric kinds, which commute with both
+sublattice toggles exactly, and two symmetry-breaking kinds (longitudinal
+random-sign fields and nearest-neighbor ZZ); _commutes verifies which at
+construction.  Random signs are used for the breaking default because a
+uniform field can have a vanishing first-order effect on sublattice-balanced code states.
 
 The CZ_p model at strong coupling (build_czp_strong) is heff plus the
 plaquette energy: a flip that creates wall crossings costs at least 2J.
@@ -89,9 +89,10 @@ _BESSEL_BUDGET = 2 ** 27  # orders x times the Bessel table may span (3 a t + 10
 class SparseOperator:
     """CSR operator on the packed basis.
 
-    toggles are XOR masks the operator is known to commute with (the
-    builders record the sublattice toggles where that holds); the
-    propagator works in their symmetry sectors and does not check them.
+    toggles are XOR masks the operator commutes with; the propagator works
+    in their symmetry sectors.  build_perturbation records the toggles
+    _commutes verifies; the flip graphs and the plaquette energy commute
+    with both sublattice toggles by construction and record them unchecked.
     """
 
     matrix: sp.csr_matrix
@@ -144,47 +145,34 @@ def _z_values(cfgs, site):
     return 1.0 - 2.0 * ((cfgs >> np.uint32(site)) & np.uint32(1)).astype(np.float64)
 
 
-def _diagonal_commutes_with_toggle(diag, xor_mask):
-    """Whether the diagonal operator commutes with the toggle: diag[x] == diag[x ^ mask]."""
-    return np.array_equal(diag, diag[np.arange(len(diag)) ^ xor_mask])
+def _commutes(matrix, mask):
+    """Whether a canonical CSR matrix equals its conjugate by x -> x ^ mask, entry for entry.
 
-
-def _is_uniform_flip_sum(matrix, n_sites):
-    """Whether the CSR matrix is w sum_i X_i over n_sites sites.
-
-    Every row must hold n_sites entries, each in a column whose XOR with the
-    row is a single bit, those bits must cover all sites, and every entry
-    must carry the one weight w.  Such an operator commutes with every XOR
-    toggle.  The converse does not hold: this test can reject a symmetric
-    operator, but it accepts no other.
+    Row x of the conjugate is row x ^ mask with its columns XOR-ed by mask; the row
+    lengths, then the sorted indices and data must match (a non-canonical matrix can only fail).
     """
-    dim = matrix.shape[0]
-    if np.any(np.diff(matrix.indptr) != n_sites):
+    rows = np.arange(matrix.shape[0]) ^ mask
+    lengths = np.diff(matrix.indptr)
+    if not np.array_equal(lengths[rows], lengths):
         return False
-    bits = matrix.indices.reshape(dim, n_sites) ^ np.arange(dim)[:, None]
-    return bool(
-        np.all(np.bitwise_count(bits) == 1)
-        and np.all(np.bitwise_or.reduce(bits, axis=1) == (1 << n_sites) - 1)
-        and np.all(matrix.data == matrix.data[0])
-    )
+    conj = matrix[rows]
+    conj = sp.csr_matrix((conj.data, conj.indices ^ mask, conj.indptr), shape=matrix.shape)
+    conj.sort_indices()
+    return np.array_equal(conj.indices, matrix.indices) and np.array_equal(conj.data, matrix.data)
 
 
 def build_perturbation(lat, kind, lam, seed=0):
     """One of the four perturbation kinds, scaled by lam.
 
-    Symmetry is verified at build time, on the unit-strength operator so
-    that lam = 0 passes too: the sym_ kinds must commute with both sublattice
-    toggles exactly, the break_ kinds must not.  The diagonal kinds are
-    checked by diag[x] == diag[x ^ mask], the transverse field, the
-    unconstrained move_graph, by its structure (every row flips each bit
-    once, at one weight).  The sym_ kinds record both toggles.
+    Symmetry is verified at build time by _commutes on the unit-strength
+    operator, so that lam = 0 passes too, and the sublattice toggles that hold
+    are recorded: a sym_ kind must commute with both exactly, a break_ kind must not.
     """
     _check_finite(lam=lam)
     cfgs = cfgmod.config_range(lat.n_sites)
 
     if kind == "sym_transverse":
         matrix = move_graph(lat, constrained=False)
-        symmetric = _is_uniform_flip_sum(matrix, lat.n_sites)
     elif kind in PERTURBATION_KINDS:
         diag = np.zeros(len(cfgs), dtype=np.float64)
         if kind == "break_longitudinal_random":
@@ -202,17 +190,15 @@ def build_perturbation(lat, kind, lam, seed=0):
                     j = lat.site_index(x + dx, y + dy)
                     diag += _z_values(cfgs, i) * _z_values(cfgs, j)
         matrix = sp.diags(diag, format="csr")
-        symmetric = all(_diagonal_commutes_with_toggle(diag, m) for m in (lat.mask_a, lat.mask_b))
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
 
-    expected = kind.startswith("sym_")
-    if symmetric != expected:
+    toggles = tuple(m for m in (lat.mask_a, lat.mask_b) if _commutes(matrix, m))
+    if (len(toggles) == 2) != kind.startswith("sym_"):
         raise AssertionError(
-            f"perturbation {kind} symmetry check failed (symmetric={symmetric})"
+            f"perturbation {kind} symmetry check failed ({len(toggles)} of 2 toggles commute)"
         )
     matrix.data *= lam  # after the check, which a zero operator would fail
-    toggles = (lat.mask_a, lat.mask_b) if symmetric else ()
     return SparseOperator(matrix=matrix, toggles=toggles)
 
 

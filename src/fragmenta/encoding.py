@@ -105,8 +105,8 @@ def embed_block_operator(block, small):
     )
 
 
-def logical_operator(block, sublattice, kind):
-    """Logical I/X/Y/Z for one sublattice qubit, as a read-only 4 x 4 matrix on the block.
+def logical_operator(sublattice, kind):
+    """Logical I/X/Y/Z for one sublattice qubit, read-only 4 x 4 on any block's members.
 
     I is the block identity (independent of sublattice); X, Y, Z act on the
     chosen qubit and as identity on the partner qubit.
@@ -133,7 +133,7 @@ def verify_pauli_algebra(block):
     products stay exact in floating point.
     """
     ops = {
-        (s, k): logical_operator(block, s, k)
+        (s, k): logical_operator(s, k)
         for s in ("A", "B")
         for k in ("I", "X", "Y", "Z")
     }

@@ -32,7 +32,6 @@ class Lattice:
     plaq_corners: np.ndarray          # (n_plaquettes, 4) cyclic corner order
     plaq_a_corners: np.ndarray        # (n_plaquettes, 2) the two A corners
     plaq_b_corners: np.ndarray        # (n_plaquettes, 2) the two B corners
-    plaquettes_of_site: np.ndarray    # (n_sites, 4) plaquettes containing site
     a_sites: np.ndarray               # sorted A-site indices
     b_sites: np.ndarray               # sorted B-site indices
     mask_a: int                       # bitmask of all A sites (X_A toggle)
@@ -83,12 +82,6 @@ def build_lattice(L):
     plaq_a = np.where(a_first[:, None], corners[:, [0, 2]], corners[:, [1, 3]])
     plaq_b = np.where(a_first[:, None], corners[:, [1, 3]], corners[:, [0, 2]])
 
-    plaq_of = np.empty((n, 4), dtype=np.int64)
-    plaq_of[:, 0] = idx(xs, ys)
-    plaq_of[:, 1] = idx(xs - 1, ys)
-    plaq_of[:, 2] = idx(xs, ys - 1)
-    plaq_of[:, 3] = idx(xs - 1, ys - 1)
-
     a_sites = np.nonzero(sub == SUBLATTICE_A)[0]
     b_sites = np.nonzero(sub == SUBLATTICE_B)[0]
     mask_a = 0
@@ -116,7 +109,6 @@ def build_lattice(L):
         plaq_corners=corners,
         plaq_a_corners=plaq_a,
         plaq_b_corners=plaq_b,
-        plaquettes_of_site=plaq_of,
         a_sites=a_sites,
         b_sites=b_sites,
         mask_a=mask_a,

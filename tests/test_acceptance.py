@@ -100,13 +100,18 @@ def _read_curve(path):
     return [[float(v) for v in row] for row in rows[1:]]
 
 
-def test_criterion_7_coherence_contrast(lat, blocks, tmp_path):
+@pytest.fixture(scope="module")
+def contrast(lat, blocks):
+    return st.criterion_coherence_contrast(lat, blocks, SEED)
+
+
+def test_criterion_7_coherence_contrast(contrast, tmp_path):
     """The breaking run loses at least ten times the symmetric run's coherence.
 
     Both curves are written under tmp_path and must read back exactly as
     the criterion's details report them.
     """
-    r = st.criterion_coherence_contrast(lat, blocks, SEED)
+    r = contrast
     for name, key in (("sym_transverse", "curve_sym"),
                       ("break_longitudinal", "curve_break")):
         path = tmp_path / f"coherence_contrast_{name}.csv"
@@ -121,6 +126,23 @@ def test_criterion_7_coherence_contrast(lat, blocks, tmp_path):
         f"(dE = {d['break_delta_e']:.6f}), "
         f"ratio = {d['loss_ratio']:.4f} < required {st.CONTRAST_FACTOR}"
     )
+
+
+def test_criterion_7_symmetric_loss_is_leakage(lat, blocks, contrast):
+    # the probe is even under the A toggle, which a sym_ H conserves, so
+    # c00 = c10 and c01 = c11 at every time: |<X_A> + i<Y_A>| is the block
+    # population, and the symmetric run's loss 1 - |<X_A>| is leakage only
+    t, re_x, im_x, population, _ = np.array(contrast.details["curve_sym"]).T
+    assert np.abs(np.hypot(re_x, im_x) - population).max() <= 1e-12
+    assert np.abs(np.abs(re_x) - population).max() <= 1e-12
+    op = st.contrast_base(lat) + dyn.build_perturbation(lat, "sym_zz_nnn", st.CONTRAST_LAMBDA)
+    series = dyn.coherence_experiment(blocks[0], op, t)
+    assert np.abs(np.abs(series.coherence("A")) - series.population).max() <= 1e-12
+    # the diagonal breaking field keeps the block populated and turns the
+    # phase: its loss in |<X_A>| is a logical error, not leakage
+    _, re_x, _, population, _ = np.array(contrast.details["curve_break"]).T
+    assert np.abs(population - 1.0).max() <= 1e-12
+    assert np.abs(np.abs(re_x) - population).max() > 0.5
 
 
 def test_contrast_symmetric_run_against_expm_multiply(lat, heff, blocks):

@@ -134,18 +134,29 @@ def test_perturbation_symmetry_classes(lat, kind):
         for mask in (lat.mask_a, lat.mask_b)
     )
     assert symmetric == kind.startswith("sym_")
+    assert op.toggles == ((lat.mask_a, lat.mask_b) if symmetric else ())
 
 
 @pytest.mark.parametrize("kind", dyn.PERTURBATION_KINDS)
 def test_diagonal_symmetry_check_agrees_with_conjugation(lat, kind):
-    # build_perturbation checks its diagonal kinds by diag[x] == diag[x ^ mask];
-    # on every kind's diagonal that must agree with conjugating the operator
-    op = dyn.build_perturbation(lat, kind, 1.0, seed=7)
-    diag = op.matrix.diagonal()
+    # build_perturbation's one check, _commutes, runs on every kind's
+    # unit-strength matrix, diagonal or not; it must agree with the oracle
+    matrix = dyn.build_perturbation(lat, kind, 1.0, seed=7).matrix
     for mask in (lat.mask_a, lat.mask_b):
-        by_conjugation = commutes_with_toggle(op.matrix, mask, op.matrix.shape[0])
+        by_conjugation = commutes_with_toggle(matrix, mask, matrix.shape[0])
         assert by_conjugation == kind.startswith("sym_")
-        assert dyn._diagonal_commutes_with_toggle(diag, mask) == by_conjugation
+        assert dyn._commutes(matrix, mask) == by_conjugation
+
+
+@pytest.mark.parametrize("build", (dyn.build_heff, dyn.build_hczp, dyn.build_czp_strong))
+def test_symmetry_check_agrees_with_conjugation_on_the_hamiltonians(lat, build):
+    matrix = build(lat, h=0.3).matrix
+    for mask in (lat.mask_a, lat.mask_b):
+        assert commutes_with_toggle(matrix, mask, matrix.shape[0])
+        assert dyn._commutes(matrix, mask)
+    # flipping site 0 alone breaks the flip constraints or the plaquette energy
+    assert not dyn._commutes(matrix, 1)
+    assert not commutes_with_toggle(matrix, 1, matrix.shape[0])
 
 
 @pytest.mark.parametrize(
@@ -177,15 +188,28 @@ def test_symmetry_check_rejects_one_changed_diagonal_entry(lat, kind, monkeypatc
         assert dyn.build_perturbation(lat, kind, 0.05, seed=7).toggles == ()
 
 
-def test_uniform_flip_sum_check_rejects_other_flip_graphs(lat):
-    n = lat.n_sites
+def test_symmetry_check_on_other_flip_graphs(lat):
+    # symmetric graphs that are not w sum_i X_i pass: the constrained flips,
+    # and the unconstrained flips weighted 2 on A sites; one changed weight fails
+    dim = 1 << lat.n_sites
     graph = dyn.move_graph(lat, constrained=False)
-    assert dyn._is_uniform_flip_sum(graph, n)
-    assert not dyn._is_uniform_flip_sum(dyn.move_graph(lat), n)  # rows of other lengths
-    for column in (3, 2):  # row 0's flip of bit 0 moved to two bits, or onto bit 1
-        changed = graph.copy()
-        changed.indices[0] = column
-        assert not dyn._is_uniform_flip_sum(changed, n)
+    rows = np.repeat(np.arange(dim), np.diff(graph.indptr))
+    weighted = graph.copy()
+    weighted.data[((rows ^ graph.indices) & lat.mask_a) != 0] = 2.0
+    changed = graph.copy()
+    changed.data[0] += 0.5
+    for matrix, symmetric in ((dyn.move_graph(lat), True), (weighted, True), (changed, False)):
+        for mask in (lat.mask_a, lat.mask_b):
+            assert commutes_with_toggle(matrix, mask, dim) == symmetric
+            assert dyn._commutes(matrix, mask) == symmetric
+
+
+def test_symmetry_check_compares_rows_not_only_entries():
+    # conjugating [[1, 1], [0, 0]] by x -> x ^ 1 moves both entries to row 1,
+    # where sorted they read as row 0 did: only the row lengths tell them apart
+    matrix = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    assert not dyn._commutes(matrix, 1)
+    assert dyn._commutes(sp.csr_matrix(np.ones((2, 2))), 1)
 
 
 @pytest.mark.parametrize("kind", dyn.PERTURBATION_KINDS)
@@ -291,7 +315,7 @@ def test_logical_operators_commute_with_heff(lat, heff, blocks):
     for block in blocks:
         for s in ("A", "B"):
             for kind in ("X", "Y", "Z"):
-                op = enc.embed_block_operator(block, enc.logical_operator(block, s, kind))
+                op = enc.embed_block_operator(block, enc.logical_operator(s, kind))
                 comm = heff.matrix @ op - op @ heff.matrix
                 comm = comm.tocsr()
                 comm.eliminate_zeros()

@@ -50,7 +50,8 @@ def test_neighbor_order_follows_coordinates():
 @pytest.mark.parametrize("L", [4, 6])
 def test_plaquette_site_incidence(L):
     lat = build_lattice(L)
-    # symmetric incidence and four plaquettes per site
+    # each site is a corner of the four plaquettes whose lower-left corners
+    # are (x, y), (x-1, y), (x, y-1) and (x-1, y-1)
     from_corner = {i: set() for i in range(lat.n_sites)}
     for p in range(lat.n_plaquettes):
         corners = lat.plaq_corners[p]
@@ -58,7 +59,9 @@ def test_plaquette_site_incidence(L):
         for c in corners:
             from_corner[int(c)].add(p)
     for i in range(lat.n_sites):
-        assert from_corner[i] == set(lat.plaquettes_of_site[i].tolist())
+        x, y = lat.site_xy(i)
+        lower_left = {lat.site_index(x - dx, y - dy) for dx in (0, 1) for dy in (0, 1)}
+        assert from_corner[i] == lower_left
         assert len(from_corner[i]) == 4
 
 

@@ -82,9 +82,10 @@ def test_x_error_defect_pattern(lat):
         for site in range(lat.n_sites):
             res = syn.extract_syndrome(basis(cfg ^ (1 << site)), lat)
             defect_plaquettes = {p for p, s in enumerate(res.signs) if s == -1}
-            assert defect_plaquettes == set(
-                int(p) for p in lat.plaquettes_of_site[site]
-            )
+            assert defect_plaquettes == {
+                p for p in range(lat.n_plaquettes) if site in lat.plaq_corners[p]
+            }
+            assert len(defect_plaquettes) == 4
 
 
 def test_extract_syndrome_on_states(lat, blocks):
