@@ -6,7 +6,8 @@ produce byte-identical output: numpy scalars are converted to plain Python
 values and floats serialize via their exact shortest round-trip
 representation (up to 17 significant digits).  Exit codes: 0 success,
 1 acceptance failure, 2 usage error; input the library rejects (ValueError
-or IndexError) also exits 2, with one JSON error line on stderr.
+or IndexError, such as an L outside [4, 8] for a lattice) and an unwritable
+--out or --csv path (OSError) also exit 2, with one JSON error line on stderr.
 """
 
 import argparse
@@ -330,7 +331,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         error = {"schema": 1, "error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(error) + "\n")
         return 2

@@ -41,8 +41,9 @@ records (SparseOperator.toggles: the builders record both sublattice
 toggles where H commutes with them, and a sum keeps the toggles both terms
 share).  The toggles generate a group G, and H is block diagonal over its
 sectors: sector q is spanned by one orbit state |G|^(-1/2) sum_g chi_q(g)
-|r ^ g> per orbit representative r, so each block is 2^N / |G| wide.  psi
-is projected on every sector and empty sectors are skipped.  Each other
+|r ^ g> per orbit representative r, so each block is 2^N / |G| wide.  The
+table chi_q(g), _Sectors.chars, is the only description of the sectors: psi
+is projected on them, and reassembled, by sums over it.  Each nonempty
 sector component is factored as z w, z its largest entry; a logical state
 has one amplitude per sector, so w is real and the sector runs one real
 recursion, where the whole space would run two (Re and Im psi).  A w with
@@ -242,7 +243,8 @@ class _Sectors:
     and H, which commutes with G, maps each sector to itself with
     <r'; q|H|r; q> = sum_s chi_q(s) H[r', r ^ g_s]: H's row r' with every
     entry moved to its column's representative and signed by chi_q.  With no
-    toggles there is one sector, and it is H itself.
+    toggles there is one sector, and it is H itself.  chars alone describes
+    the sectors; _propagate sums over it by einsum (a BLAS call leaves threads spinning).
     """
 
     def __init__(self, H, toggles):
@@ -277,16 +279,6 @@ class _Sectors:
         n = len(self.reps)
         cols = self.index[self.rows.indices]
         return sp.csr_matrix((data, cols, self.rows.indptr), shape=(n, n))
-
-
-def _walsh(a):
-    """sum_s chi_q(s) a[s] for every q, over axis 0 of length 2^k, as +- sums."""
-    h = 1
-    while h < len(a):
-        b = a.reshape(len(a) // (2 * h), 2, h, -1)
-        a = np.stack((b[:, 0] + b[:, 1], b[:, 0] - b[:, 1]), axis=1).reshape(a.shape)
-        h *= 2
-    return a
 
 
 def _collatz_wielandt_max(absO, d):
@@ -399,6 +391,8 @@ def _chebyshev_coefficients(x, tol):
 
 def _chebyshev_terms(H, c, a, parts, order):
     """Yield [T_k((H - c)/a) v for v in parts] for k < order, parts real."""
+    if order < 1:
+        return
     dim = H.shape[0]
     M = ((H - c * sp.identity(dim, format="csr")) * (2.0 / a)).tocsr()
     prev = parts
@@ -452,7 +446,7 @@ def _propagate(op, psi0, times, tol, rows):
     c, a = _spectral_interval(sectors)
     coef, bound = _chebyshev_coefficients(a * times, tol / norm)
     need, pos = np.unique(sectors.index[rows], return_inverse=True)  # sector rows recorded
-    amps = _walsh(psi0[sectors.orbits])  # |G|^(1/2) times the sector components
+    amps = np.einsum("qs,sr->qr", sectors.chars, psi0[sectors.orbits])  # |G|^(1/2) x components
     recorded = np.zeros((len(amps), len(times), len(need)), dtype=complex)
     rows_per_order = 0
     for q, v in enumerate(amps):
@@ -474,8 +468,8 @@ def _propagate(op, psi0, times, tol, rows):
             for phase, u in zip((1.0, 1j), vs):
                 recorded[q] += np.outer(phase * coef[k], u[need])
         recorded[q] *= scale / np.conj(z)
-    values = _walsh(recorded)[sectors.element[rows], :, pos].T / len(amps)
-    values *= np.exp(-1j * c * times)[:, None]
+    values = np.einsum("qs,qtr->str", sectors.chars, recorded) / len(amps)
+    values = values[sectors.element[rows], :, pos].T * np.exp(-1j * c * times)[:, None]
     return values, PropagatorCounters(len(coef), 0, norm * bound, a, rows_per_order)
 
 

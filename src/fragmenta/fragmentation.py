@@ -29,12 +29,12 @@ Three independent routes are provided and cross-checked by the tests:
   site row and every plaquette row has been checked once.
 
 The first two build the full space and stop at config.config_range's cap
-(24 sites, so L = 4; L = 6 fails at once).  sector_of explores the
-component of one configuration on any lattice: a breadth-first search one
-frontier at a time, with flippable_mask applied to the whole frontier for
-each site (uint32 configurations up to 32 sites, uint64 above).  It raises
-ValueError for a configuration outside [0, 2**n_sites) and RuntimeError
-once the component has more than size_cap states.
+(24 sites, so L = 4; L = 6 fails at once).  sector_of explores the component
+of one configuration on a lattice up to L = 8 (64 sites): a breadth-first
+search one frontier at a time, with flippable_mask applied to the whole
+frontier for each site (uint32 configurations up to 32 sites, uint64 above).
+It raises ValueError for a configuration outside [0, 2**n_sites) and
+RuntimeError once the component has more than size_cap states.
 """
 
 from collections import Counter

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import _TWO_QUBIT, logical_tomography
+from .encoding import _TWO_QUBIT, logical_operator, logical_tomography
 
 
 def _rotate_x_site(psi, site, cos_half, sin_half):
@@ -110,8 +110,7 @@ def logical_gate(lat, gate, sublattice="A", angle=0.0):
     "rx" is (-i)^N_s X_s at angle = pi (to 1e-15) and None at any other
     angle, where apply_rx leaks out of the block.
     """
-    _sublattice(lat, sublattice)
-    pauli = {k: _TWO_QUBIT[(k, "I") if sublattice == "A" else ("I", k)] for k in "XZ"}
+    pauli = {k: logical_operator(sublattice, k) for k in "XZ"}
     if gate == "cnot":
         # |0><0|_A (x) I + |1><1|_A (x) X_B = (II + ZI + IX - ZX) / 2
         t = _TWO_QUBIT

@@ -49,13 +49,13 @@ def build_lattice(L):
     """Build the full geometry for an even linear size L >= 4.
 
     Raises ValueError for odd L (the sublattice structure is inconsistent
-    with periodic boundaries) and for L < 4 (no noncontractible-loop
-    structure worth encoding).
+    with periodic boundaries), for L < 4 (no noncontractible-loop
+    structure worth encoding) and for L > 8 (no consumer packs > 64 sites).
     """
     if L % 2 != 0:
         raise ValueError(f"L must be even, got {L}")
-    if L < 4:
-        raise ValueError(f"L must be >= 4, got {L}")
+    if not 4 <= L <= 8:
+        raise ValueError(f"L must lie in [4, 8] (at most 64 sites), got {L}")
 
     n = L * L
     xs = np.arange(n) % L

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -162,6 +163,7 @@ def test_usage_error_exit_code():
     ("frozen-count", "--L", "6"),
     ("frozen-count", "--L", "12"),  # brute force, past config_range's cap
     ("frozen-count", "--L", "14", "--method", "transfer"),
+    ("krylov", "--L", "100000"),
 ])
 def test_input_error_exit_code(capsys, argv):
     code = main(list(argv))
@@ -170,6 +172,34 @@ def test_input_error_exit_code(capsys, argv):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert json.loads(line)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("blocks", "--out", "MISSING"),
+    ("frozen-count", "--L", "4", "--method", "transfer", "--out", "DIR"),
+    ("evolve", "--csv", "MISSING"),
+])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    paths = {"MISSING": str(tmp_path / "no-such-dir" / "out"), "DIR": str(tmp_path)}
+    code = main([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] in ("FileNotFoundError", "IsADirectoryError")
+
+
+def test_huge_L_exits_2_before_building_the_lattice(capsys):
+    # build_lattice checks L before its mask loop, which is O(L^4)
+    start = time.perf_counter()
+    code = main(["blocks", "--L", "3000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "ValueError"
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -316,3 +346,15 @@ def test_evolve_heff_sym_transverse_order(capsys):
     assert report["chebyshev_order"] <= 470
     assert report["half_width"] < 8.06
     assert report["error_bound"] <= report["tol"]
+
+
+def test_evolve_tolerance_above_the_norm_runs_no_order(capsys):
+    # at tol 10 the whole Bessel tail is below tol already: zero orders,
+    # and the bound reached, the whole tail, is at most tol
+    code, out = run_cli(capsys, "evolve", "--hamiltonian", "czp", "--tol", "10",
+                        "--steps", "2", "--tmax", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["chebyshev_order"] == 0
+    assert report["probe_dim"] == 0
+    assert 0.0 < report["error_bound"] <= 10.0

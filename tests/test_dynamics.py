@@ -629,6 +629,17 @@ def test_chebyshev_coefficients_match_the_full_jv_table(xmax):
     assert np.abs(coef - expected).max() <= 2e-13
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_chebyshev_terms_yields_order_terms(order):
+    # T_0..T_{order-1} of the 2 x 2 matrix x = [[0, 1], [1, 0]] on e_0
+    H = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    terms = list(dyn._chebyshev_terms(H, 0.0, 1.0, [np.array([1.0, 0.0])], order))
+    assert len(terms) == order
+    expected = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]  # T_2(x) = 2 x^2 - 1 = 1
+    for (term,), want in zip(terms, expected):
+        assert np.array_equal(term, want)
+
+
 def test_bessel_table_at_tiny_and_zero_arguments():
     x = np.array([0.0, 1e-300, 1e-200, 1e-8, -1e-8])
     table = dyn._bessel_table(x, 40)
@@ -663,6 +674,25 @@ def test_sectors_complex_full_state_against_expm_multiply(lat, random_state):
     for t, psi in zip(times, values):
         reference = expm_multiply(-1j * t * op.matrix.astype(complex), random_state)
         assert np.linalg.norm(psi - reference) <= 1e-9
+
+
+@pytest.mark.parametrize("names, order", [
+    (("A",), 2),
+    (("B",), 2),
+    (("A", "B", "A^B"), 4),  # the third mask depends on the first two
+])
+def test_sectors_of_any_toggle_list_against_expm_multiply(lat, random_state, names, order):
+    # the projection and reassembly read the characters of whatever group
+    # the toggles generate: order 2 here, or 4 from a dependent list
+    masks = {"A": lat.mask_a, "B": lat.mask_b, "A^B": lat.mask_a ^ lat.mask_b}
+    toggles = tuple(masks[name] for name in names)
+    sym = dyn.build_czp_strong(lat) + dyn.build_perturbation(lat, "sym_zz_nnn", 0.05)
+    op = dyn.SparseOperator(sym.matrix, toggles=toggles)
+    assert len(dyn._Sectors(op.matrix, toggles).chars) == order
+    values, counters = propagate(op, random_state, [0.7])
+    assert counters.rows_per_order == 2 * (1 << lat.n_sites)
+    reference = expm_multiply(-1j * 0.7 * op.matrix.astype(complex), random_state)
+    assert np.linalg.norm(values[0] - reference) <= 1e-9
 
 
 def test_sectors_logical_state_full_output_against_expm_multiply(lat, blocks):

@@ -25,6 +25,12 @@ def test_small_L_rejected():
         build_lattice(2)
 
 
+def test_L_past_64_sites_rejected():
+    # no consumer packs more than 64 sites into one configuration
+    with pytest.raises(ValueError, match="64 sites"):
+        build_lattice(10)
+
+
 @pytest.mark.parametrize("L", [4, 6, 8])
 def test_bipartite_neighbors(L):
     lat = build_lattice(L)
