@@ -313,9 +313,8 @@ def build_parser():
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("quadflip", help="clock-model sector decomposition")
-    p.add_argument("--L", type=int, default=2)
+    common(p, default_L=2)
     p.add_argument("--m", type=int, default=3)
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_quadflip)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

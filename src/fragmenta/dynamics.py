@@ -63,6 +63,7 @@ trivial-sector restriction, so the interval is the full space's bound,
 computed at 1/|G| of the size.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,15 +367,14 @@ def _chebyshev_coefficients(x, tol):
     3 |x| + 100; when that many orders times len(x) exceed _BESSEL_BUDGET,
     ValueError is raised before anything is allocated.
     """
-    from scipy.special import gammaln
-
     xmax = max(float(np.abs(x).max()), 1.0)
     orders = 3.0 * xmax + 100.0
     if not orders * len(x) <= _BESSEL_BUDGET:
         raise ValueError(f"a*t = {xmax:.6g} needs up to {orders:.6g} orders x {len(x)} times, "
                          f"outside the Bessel table's budget of {_BESSEL_BUDGET} entries")
     ks = np.arange(int(np.ceil(xmax)), int(3 * xmax) + 100)
-    log_rest = np.log(4.0) + ks * np.log(xmax / 2.0) - gammaln(ks + 1.0)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in ks.tolist()])
+    log_rest = np.log(4.0) + ks * np.log(xmax / 2.0) - log_factorial
     kmax = int(ks[np.argmax(log_rest < np.log(tol) - 6.0 * np.log(10.0))])
     bessel = _bessel_table(x, kmax)
     tails = np.zeros(kmax + 1)

@@ -82,12 +82,12 @@ def build_clock_lattice(L):
 
 def enumerate_valid(L, m):
     """The lattice and the valid colorings as an (n, n_links) uint8 array in code order."""
-    lat = build_clock_lattice(L)
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    raw = m ** lat.n_links
-    if raw > 1 << 20:
-        raise ValueError(f"exhaustive scan of {raw} link assignments is too large")
+    n_links = 2 * L * L  # sized before the lattice is built, which rejects L < 2
+    if L >= 2 and (n_links > 20 or m ** n_links > 1 << 20):
+        raise ValueError(f"exhaustive scan of {m}^{n_links} link assignments exceeds 2^20")
+    lat = build_clock_lattice(L)
     faces = np.array(lat.plaq_links)
     last = faces.max(axis=1)
     colors = np.arange(m, dtype=np.uint8)

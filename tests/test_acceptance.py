@@ -22,25 +22,9 @@ from fragmenta import dynamics as dyn
 from fragmenta import encoding as enc
 from fragmenta import selftest as st
 from fragmenta.cli import main
-from fragmenta.lattice import build_lattice
 
 SEED = 7
 CURVE_HEADER = ("t", "reX", "imX", "population", "fidelity")
-
-
-@pytest.fixture(scope="module")
-def lat():
-    return build_lattice(4)
-
-
-@pytest.fixture(scope="module")
-def blocks(lat):
-    return enc.enumerate_blocks(lat)
-
-
-@pytest.fixture(scope="module")
-def heff(lat):
-    return dyn.build_heff(lat, h=1.0)
 
 
 def _report(result):

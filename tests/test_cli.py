@@ -136,6 +136,26 @@ def test_quadflip_outside_contract_exits_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--L", "200"), "exhaustive scan of 3^80000 link assignments exceeds 2^20"),
+    (("--L", "2000"), "exhaustive scan of 3^8000000 link assignments exceeds 2^20"),
+    (("--L", "2", "--m", "1"), "m must be >= 2, got 1"),
+    (("--L", "0"), "L must be >= 2, got 0"),
+    (("--L", "-200"), "L must be >= 2, got -200"),
+])
+def test_quadflip_rejects_at_once_with_one_error_line(capsys, argv, message):
+    # the scan size is checked before the clock lattice is built, and the
+    # message names the power m^(2 L^2), not the integer
+    start = time.perf_counter()
+    code = main(["quadflip", *argv])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert elapsed < 1.0
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["message"] == message
+
+
 def test_out_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(capsys, "frozen-count", "--L", "4", "--method", "brute",

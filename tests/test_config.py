@@ -7,11 +7,6 @@ from fragmenta import config as cm
 from fragmenta.lattice import build_lattice
 
 
-@pytest.fixture(scope="module")
-def lat():
-    return build_lattice(4)
-
-
 def stripe_config(L, horizontal=True):
     """Row (or column) y all equal to y mod 2."""
     cfg = 0

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh, expm_multiply
 
-from fragmenta import config as cm
 from fragmenta import dynamics as dyn
 from fragmenta import encoding as enc
 from fragmenta.fragmentation import code_states, krylov_decompose
@@ -27,21 +26,6 @@ def interval(op, toggles=None):
     """The propagator's spectral interval of op, in the sectors of its toggles."""
     toggles = op.toggles if toggles is None else toggles
     return dyn._spectral_interval(dyn._Sectors(op.matrix, toggles))
-
-
-@pytest.fixture(scope="module")
-def lat():
-    return build_lattice(4)
-
-
-@pytest.fixture(scope="module")
-def blocks(lat):
-    return enc.enumerate_blocks(lat)
-
-
-@pytest.fixture(scope="module")
-def heff(lat):
-    return dyn.build_heff(lat, h=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -514,6 +498,22 @@ def test_import_leaves_scipy_linalg_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+    # the package namespace loads only the modules behind build_lattice and
+    # enumerate_blocks, and the Chebyshev coefficients need no scipy.special
+    code = ("import sys, numpy, fragmenta\n"
+            "print(sorted(m for m in sys.modules if m.startswith('fragmenta')))\n"
+            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)\n"
+            "from fragmenta import dynamics\n"
+            "dynamics._chebyshev_coefficients(numpy.linspace(-440.0, 440.0, 26), 1e-10)\n"
+            "print('scipy.special' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.splitlines() == [
+        "['fragmenta', 'fragmenta.config', 'fragmenta.encoding', "
+        "'fragmenta.fragmentation', 'fragmenta.lattice']",
+        "False False",
+        "False",
+    ]
 
 
 def test_spectral_interval_contains_ritz_values(lat):
@@ -599,20 +599,31 @@ def test_chebyshev_path_with_empty_rows_against_expm_multiply(lat, heff, random_
         assert np.linalg.norm(values[0] - reference) <= 1e-9
 
 
-def _jv_coefficients(x, tol):
-    # the full-table construction, on scipy's jv: every order up to the
-    # crude cutoff kmax where 4 (|x|/2)^k / k! drops below tol / 1e6
-    from scipy.special import gammaln, jv
+def _order_search(x, tol, table):
+    # _chebyshev_coefficients on a given Bessel table, with scipy's gammaln
+    # for log k!: every order up to the crude cutoff kmax where
+    # 4 (|x|/2)^k / k! drops below tol / 1e6, then the tail bound
+    from scipy.special import gammaln
 
     xmax = max(float(np.abs(x).max()), 1.0)
     ks = np.arange(int(np.ceil(xmax)), int(3 * xmax) + 100)
     log_rest = np.log(4.0) + ks * np.log(xmax / 2.0) - gammaln(ks + 1.0)
     kmax = int(ks[np.argmax(log_rest < np.log(tol) - 6.0 * np.log(10.0))])
-    bessel = jv(np.arange(kmax)[:, None], x[None, :])
-    tails = np.cumsum(2.0 * np.abs(bessel[::-1]), axis=0)[::-1].max(axis=1)
+    bessel = table(x, kmax)
+    tails = np.zeros(kmax + 1)
+    tails[:kmax] = 2.0 * np.cumsum(np.abs(bessel[::-1]), axis=0)[::-1].max(axis=1)
     tails += np.exp(log_rest[kmax - ks[0]])
     order = int(np.argmax(tails <= tol))
-    return bessel[:order], order, float(tails[order])
+    phases = np.array([1.0, -1j, -1.0, 1j])[np.arange(order) % 4]
+    coef = phases[:, None] * bessel[:order]
+    coef[1:] *= 2.0
+    return coef, float(tails[order])
+
+
+def _jv_table(x, n):
+    from scipy.special import jv
+
+    return jv(np.arange(n)[:, None], x[None, :])
 
 
 @pytest.mark.parametrize("xmax", [400.0, 1200.0])
@@ -620,13 +631,22 @@ def test_chebyshev_coefficients_match_the_full_jv_table(xmax):
     # backward and forward times and t = 0 on one grid
     x = np.linspace(-xmax, xmax, 27)
     coef, bound = dyn._chebyshev_coefficients(x, 1e-10)
-    bessel, order, reference_bound = _jv_coefficients(x, 1e-10)
-    assert len(coef) == order
+    expected, reference_bound = _order_search(x, 1e-10, _jv_table)
+    assert len(coef) == len(expected)
     assert bound == pytest.approx(reference_bound, rel=1e-9)
     assert bound <= 1e-10
-    phases = np.array([1.0, -1j, -1.0, 1j])[np.arange(order) % 4]
-    expected = phases[:, None] * bessel * np.where(np.arange(order) > 0, 2.0, 1.0)[:, None]
     assert np.abs(coef - expected).max() <= 2e-13
+
+
+@pytest.mark.parametrize("xmax", [1.0, 3.5, 40.0, 440.0, 2000.0, 20000.0])
+def test_chebyshev_coefficients_match_the_gammaln_order_search(xmax):
+    # math.lgamma picks the same cutoff, coefficients and bound as gammaln
+    x = np.linspace(-xmax, xmax, 5)
+    for tol in (1e-12, 1e-10, 1e-6, 1e-2, 6.67):
+        coef, bound = dyn._chebyshev_coefficients(x, tol)
+        reference, reference_bound = _order_search(x, tol, dyn._bessel_table)
+        assert np.array_equal(coef, reference)
+        assert bound == reference_bound
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -654,7 +674,7 @@ def test_chebyshev_coefficients_peak_memory():
     # the only full-size arrays alive together: every other step of the
     # table and the tail sums works in place
     x = np.linspace(-4000.0, 4000.0, 101)
-    dyn._chebyshev_coefficients(x[:2], 1e-10)  # imports outside the trace
+    dyn._chebyshev_coefficients(x[:2], 1e-10)  # first-call set-up outside the trace
     tracemalloc.start()
     try:
         coef, _ = dyn._chebyshev_coefficients(x, 1e-10)

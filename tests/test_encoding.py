@@ -5,17 +5,6 @@ import scipy.sparse as sp
 from fragmenta import config as cm
 from fragmenta import encoding as enc
 from fragmenta.fragmentation import code_states
-from fragmenta.lattice import build_lattice
-
-
-@pytest.fixture(scope="module")
-def lat():
-    return build_lattice(4)
-
-
-@pytest.fixture(scope="module")
-def blocks(lat):
-    return enc.enumerate_blocks(lat)
 
 
 def toggle_matrix(lat, mask):

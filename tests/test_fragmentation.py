@@ -12,11 +12,6 @@ from fragmenta.lattice import build_lattice
 
 
 @pytest.fixture(scope="module")
-def lat():
-    return build_lattice(4)
-
-
-@pytest.fixture(scope="module")
 def sectors(lat):
     return fr.krylov_decompose(lat)
 

@@ -3,19 +3,13 @@ import pytest
 
 from fragmenta import encoding as enc
 from fragmenta import gates
-from fragmenta.lattice import build_lattice
 
 SQ2 = 2 ** -0.5
 
 
 @pytest.fixture(scope="module")
-def lat():
-    return build_lattice(4)
-
-
-@pytest.fixture(scope="module")
-def block(lat):
-    return enc.enumerate_blocks(lat)[0]
+def block(blocks):
+    return blocks[0]
 
 
 def basis_state(block, k):

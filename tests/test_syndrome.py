@@ -8,7 +8,6 @@ from fragmenta import encoding as enc
 from fragmenta import gates
 from fragmenta import syndrome as syn
 from fragmenta.fragmentation import code_states, enumerate_frozen
-from fragmenta.lattice import build_lattice
 
 SQ2 = 2 ** -0.5
 DIM = 1 << 16
@@ -40,16 +39,6 @@ def pauli_by_index_formula(psi, site, pauli):
         return psi[idx ^ (1 << site)]
     z = psi * (1.0 - 2.0 * ((idx >> site) & 1))
     return z if pauli == "Z" else 1j * z[idx ^ (1 << site)]
-
-
-@pytest.fixture(scope="module")
-def lat():
-    return build_lattice(4)
-
-
-@pytest.fixture(scope="module")
-def blocks(lat):
-    return enc.enumerate_blocks(lat)
 
 
 def test_code_states_have_uniform_plus_syndrome(lat):
