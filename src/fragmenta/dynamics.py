@@ -18,13 +18,13 @@ The CZ_p model at strong coupling (build_czp_strong) is heff plus the
 plaquette energy: a flip that creates wall crossings costs at least 2J.
 
 Time evolution takes one of two paths, both for real symmetric H only.  If
-H maps the support S of the initial state into itself (at most
-_EXACT_SUPPORT states, and every nonzero entry of the rows H[S] in a column
-of S), the columns S hold no entry outside S either, because H is
-symmetric, so exp(-iHt) psi = exp(-i H_SS t) psi_S exactly; a dense
-eigendecomposition of H_SS serves every time at once.  Logical states take
-this path under the constrained flips and diagonal perturbations: the
-flips annihilate code states and a diagonal term keeps them eigenstates.
+no row of H[S], S the support of the initial state, has a nonzero entry off
+its diagonal (stored zeros do not couple), the columns S have none either,
+because H is symmetric, so every state s of S is an eigenstate and
+exp(-iHt) psi = sum_s exp(-i d_s t) psi_s |s> exactly, d_s the diagonal
+entry of row s; this holds for a support of any size.  Logical states take
+this path under the constrained flips and diagonal perturbations: the flips
+annihilate code states and a diagonal term keeps them eigenstates.
 Otherwise exp(-iHt) is expanded in Chebyshev polynomials (Tal-Ezer and
 Kosloff 1984),
 
@@ -80,7 +80,6 @@ PERTURBATION_KINDS = (
     "break_zz_nn",
 )
 
-_EXACT_SUPPORT = 64      # largest closed support the exact path diagonalizes
 _POWER_STEPS = 30        # power steps behind each Collatz-Wielandt bound
 _ROUNDING_PAD = 2.0 ** -40  # relative widening of each bound, for rounding
 _MILLER_PAD = 32         # orders the Bessel recurrence starts above its table
@@ -213,24 +212,14 @@ def _check_tol(tol):
         raise ValueError("tol must be finite and >= 1e-12")
 
 
-def _check_state(psi):
+def _check_state(psi, dim):
+    """psi as a new complex vector; ValueError unless it has shape (dim,) and finite entries."""
+    psi = np.array(psi, dtype=complex)
+    if psi.shape != (dim,):
+        raise ValueError(f"the state must have shape ({dim},), got {psi.shape}")
     if not np.all(np.isfinite(psi)):
         raise ValueError("state amplitudes must be finite")
-
-
-def _closed_support(H, psi):
-    """psi's support S and the dense H[S][:, S], when H maps span(S) into itself.
-
-    Returns None when |S| exceeds _EXACT_SUPPORT or a nonzero entry of the
-    rows H[S] lies outside the columns S.  Stored zeros do not couple.
-    """
-    S = np.flatnonzero(psi)
-    if len(S) > _EXACT_SUPPORT:
-        return None
-    rows = H[S]
-    if np.any(rows.data[~np.isin(rows.indices, S)]):
-        return None
-    return S, rows[:, S].toarray()
+    return psi
 
 
 class _Sectors:
@@ -414,14 +403,16 @@ class PropagatorCounters:
     """Deterministic solver counters of one propagation."""
 
     chebyshev_order: int   # orders of the Chebyshev recursion; 0 on the exact path
-    probe_dim: int         # size of the closed support on the exact path; 0 on the recursion
+    probe_dim: int         # size of psi0's support on the exact path; 0 on the recursion
     error_bound: float     # a-priori 2-norm error bound at every time; 0.0 on the exact path
     half_width: float      # half-width of the recursion's interval; 0.0 on the exact path
     rows_per_order: int    # sector dimension x real parts, summed over the recursions run
 
 
 def _propagate(op, psi0, times, tol, rows):
-    """exp(-i H t_j) psi0 at every t_j in times, on the basis indices rows.
+    """exp(-i H t_j) psi0 at every t_j in times, on the sorted basis indices rows.
+
+    rows must include psi0's support.
 
     Returns the amplitudes, shape (len(times), len(rows)), and the
     PropagatorCounters.
@@ -431,14 +422,12 @@ def _propagate(op, psi0, times, tol, rows):
         raise ValueError("the propagator needs a real symmetric operator")
     times = np.asarray(times, dtype=float)
 
-    closed = _closed_support(H, psi0)
-    if closed is not None:
-        S, block = closed
-        evals, evecs = np.linalg.eigh(block)
-        y = (np.exp(-1j * np.outer(times, evals)) * (evecs.T @ psi0[S])) @ evecs.T
-        hit = np.isin(rows, S)
+    S = np.flatnonzero(psi0)
+    sub = H[S]
+    if not np.any(sub.data[sub.indices != np.repeat(S, np.diff(sub.indptr))]):
+        d = np.asarray(sub.sum(axis=1)).ravel()  # row sums: every other entry is zero
         values = np.zeros((len(times), len(rows)), dtype=complex)
-        values[:, hit] = y[:, np.searchsorted(S, rows[hit])]
+        values[:, np.searchsorted(rows, S)] = np.exp(-1j * np.outer(times, d)) * psi0[S]
         return values, PropagatorCounters(0, len(S), 0.0, 0.0, 0)
 
     norm = float(np.linalg.norm(psi0))
@@ -477,15 +466,15 @@ def evolve(state, op, t, tol=1e-10):
     """exp(-i H t)|state> for real symmetric H and finite t.
 
     Negative t evolves backward.  tol bounds the 2-norm error of the
-    result; t = NaN or +-inf, a non-finite amplitude, or an a|t| past the
-    Bessel table's budget (_chebyshev_coefficients) raises ValueError.
+    result; t = NaN or +-inf, a state that is not a finite vector of H's
+    dimension, or an a|t| past the Bessel table's budget
+    (_chebyshev_coefficients) raises ValueError.
     """
     t = float(t)
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     _check_tol(tol)
-    psi = np.array(state, dtype=complex, copy=True)
-    _check_state(psi)
+    psi = _check_state(state, op.matrix.shape[0])
     if t == 0:
         return psi
     values, _ = _propagate(op, psi, [t], tol, np.arange(len(psi)))
@@ -542,8 +531,8 @@ def coherence_experiment(block, op, times, tol=1e-10, initial=None):
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must start at 0 and increase strictly")
     _check_tol(tol)
-    psi0 = logical_state(block, DEFAULT_PROBE) if initial is None else initial
-    _check_state(psi0)
+    psi0 = _check_state(logical_state(block, DEFAULT_PROBE) if initial is None else initial,
+                        op.matrix.shape[0])
     members = np.array(block.members)
     rows = np.union1d(members, np.flatnonzero(psi0))
     values, counters = _propagate(op, psi0, times, tol, rows)

@@ -24,6 +24,8 @@ import numpy as np
 from . import config as cfgmod
 from .encoding import DEFAULT_PROBE, block_tomography
 
+_DROP_WEIGHT = 1e-12  # a basis state with |c|^2 at most this is left out of the syndrome
+
 
 @dataclass(frozen=True)
 class SyndromeResult:
@@ -39,20 +41,20 @@ class SyndromeResult:
         return sum(1 for s in self.signs if s != 1)
 
 
-def extract_syndrome(support, lat, tol=1e-12):
+def extract_syndrome(support, lat):
     """Stabilizer signs of a support (configs, amplitudes).
 
-    Amplitudes with |c|^2 <= tol are dropped.  Every basis state left must
-    share one stabilizer pattern (true for code states and their X/Z-error
-    descendants); otherwise the per-plaquette expectation values are
-    returned with uniform=False rather than silently averaged.
+    Amplitudes with |c|^2 <= _DROP_WEIGHT are dropped.  Every basis state
+    left must share one stabilizer pattern (true for code states and their
+    X/Z-error descendants); otherwise the per-plaquette expectation values
+    are returned with uniform=False rather than silently averaged.
     """
     configs, amplitudes = map(np.asarray, support)
     outside = configs[(configs < 0) | (configs >= 1 << lat.n_sites)]
     if len(outside):
         raise ValueError(f"configuration {outside[0]} is outside [0, 2**{lat.n_sites})")
     weights = np.abs(amplitudes) ** 2
-    keep = weights > tol
+    keep = weights > _DROP_WEIGHT
     support, w = configs[keep], weights[keep]
     if len(support) == 0:
         raise ValueError("state has empty support")

@@ -346,7 +346,7 @@ def test_evolve_counters_identical_bytes(capsys):
     assert report["rows_per_order"] == 32768
     assert list(report).index("rows_per_order") == list(report).index("half_width") + 1
     assert 0.0 < report["error_bound"] <= report["tol"]
-    # a diagonal perturbation keeps the probe's two-state support closed:
+    # a diagonal perturbation keeps the probe's two states eigenstates:
     # the exact path, no recursion
     _, out = run_cli(capsys, "evolve", "--perturbation", "break_longitudinal_random",
                      "--tmax", "1.0", "--steps", "4")

@@ -295,6 +295,27 @@ def test_evolve_tolerance_guard(blocks, heff, random_state):
         dyn.coherence_experiment(blocks[0], heff, [])
 
 
+@pytest.mark.parametrize("shape", [(64006,), (1 << 16, 1), (2, 1 << 15), ()])
+def test_state_of_the_wrong_shape_rejected(blocks, heff, shape):
+    # a state that is not one amplitude per basis state is refused by both entry points
+    state = np.ones(shape, dtype=complex)
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match="shape"):
+            dyn.evolve(state, heff, t)
+    with pytest.raises(ValueError, match="shape"):
+        dyn.coherence_experiment(blocks[0], heff, [0.0, 1.0], initial=state)
+
+
+def test_coherence_experiment_takes_a_list_state(lat, heff, blocks):
+    op = heff + dyn.build_perturbation(lat, "sym_transverse", 0.05)
+    psi0 = enc.logical_state(blocks[0], [0.6, 0.0, 0.0, 0.8j])
+    times = [0.0, 0.5, 1.0]
+    from_list = dyn.coherence_experiment(blocks[0], op, times, initial=psi0.tolist())
+    from_array = dyn.coherence_experiment(blocks[0], op, times, initial=psi0)
+    assert from_list.tomography == from_array.tomography
+    assert np.array_equal(from_list.fidelity, from_array.fidelity)
+
+
 def test_logical_operators_commute_with_heff(lat, heff, blocks):
     for block in blocks:
         for s in ("A", "B"):
@@ -428,7 +449,7 @@ def test_chebyshev_path_against_expm_multiply(lat, blocks):
 
 def test_invariant_path_against_expm_multiply(lat, blocks, heff):
     # heff annihilates the code states and both fields are diagonal (break_zz_nn
-    # vanishes on every L=4 code state), so the four members' support is closed
+    # vanishes on every L=4 code state), so the four members are eigenstates
     block = blocks[0]
     op = (heff + dyn.build_perturbation(lat, "break_zz_nn", 0.05)
           + dyn.build_perturbation(lat, "break_longitudinal_random", 0.05, seed=7))
@@ -451,10 +472,10 @@ def heff_sectors(lat, heff):
 
 
 @pytest.mark.parametrize("size, kind", [(3, None), (9, "break_longitudinal_random")])
-def test_exact_path_on_a_krylov_sector_against_expm_multiply(lat, heff, heff_sectors,
-                                                              size, kind):
+def test_krylov_sector_runs_the_recursion(lat, heff, heff_sectors, size, kind):
     # a random state spread over one whole sector: heff couples its states
-    # to each other and to nothing else, so the dense eigh runs on the sector
+    # to each other and to nothing else, so they are no eigenstates and the
+    # recursion runs, however small the sector, and leaves no amplitude outside it
     sectors, labels = heff_sectors
     rep = next(s.representative for s in sectors if s.size == size)
     support = np.flatnonzero(labels == labels[rep])
@@ -466,11 +487,29 @@ def test_exact_path_on_a_krylov_sector_against_expm_multiply(lat, heff, heff_sec
     op = heff if kind is None else heff + dyn.build_perturbation(lat, kind, 0.3, seed=3)
     times = np.linspace(0.0, 5.0, 6)
     values, counters = propagate(op, psi0, times)
-    assert counters == dyn.PropagatorCounters(0, size, 0.0, 0.0, 0)
+    assert counters.chebyshev_order > 0
+    assert counters.probe_dim == 0
     reference = expm_multiply(-1j * op.matrix.astype(complex), psi0,
                               start=0.0, stop=5.0, num=6, endpoint=True)
-    assert np.abs(values - reference).max() <= 1e-12
-    assert np.count_nonzero(values[-1]) == size  # the sector, and nothing outside
+    assert np.linalg.norm(values - reference, axis=1).max() <= counters.error_bound
+    assert not np.any(np.delete(values, support, axis=1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda dim, lat: dyn.SparseOperator(matrix=2.0 * sp.identity(dim, format="csr")),
+    lambda dim, lat: dyn.SparseOperator(matrix=sp.csr_matrix((dim, dim))),
+    lambda dim, lat: dyn.build_perturbation(lat, "break_zz_nn", 0.05),
+], ids=["2I", "zero", "break_zz_nn"])
+def test_diagonal_operator_takes_the_exact_path_on_the_whole_space(lat, random_state, build):
+    # every state is an eigenstate of a diagonal operator, so a state on the
+    # whole space turns by its phases; 2 I and 0 have a spectrum of width 0,
+    # which the recursion's interval would divide by
+    dim = len(random_state)
+    op = build(dim, lat)
+    values, counters = propagate(op, random_state, [0.0, 1.5])
+    assert counters == dyn.PropagatorCounters(0, dim, 0.0, 0.0, 0)
+    assert np.array_equal(values[0], random_state)
+    assert np.array_equal(values[1], np.exp(-1.5j * op.matrix.diagonal()) * random_state)
 
 
 @pytest.mark.parametrize("build", [
@@ -478,8 +517,8 @@ def test_exact_path_on_a_krylov_sector_against_expm_multiply(lat, heff, heff_sec
     lambda lat: dyn.build_perturbation(lat, "sym_transverse", 0.0),
 ], ids=["heff_h0", "sym_transverse_lam0"])
 def test_stored_zero_couplings_take_the_exact_path(lat, blocks, build):
-    # every coupling is stored, with value zero: the support must count as
-    # closed, so a single-flip neighbour of a member stays where it is
+    # every coupling is stored, with value zero: the states must count as
+    # eigenstates, so a single-flip neighbour of a member stays where it is
     op = build(lat)
     assert op.matrix.nnz > 0 and not np.any(op.matrix.data)
     psi0 = enc.logical_state(blocks[0], [0.6, 0.0, 0.0, 0.8j])
@@ -492,7 +531,7 @@ def test_stored_zero_couplings_take_the_exact_path(lat, blocks, build):
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # the exact path diagonalizes with numpy: start-up loads no scipy.linalg
+    # start-up loads no scipy.linalg
     code = "import sys, fragmenta, fragmenta.cli; print('scipy.linalg' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -588,8 +627,8 @@ def test_chebyshev_path_with_empty_rows_against_expm_multiply(lat, heff, random_
     assert a < 8.5  # Gershgorin gives 16, the spectrum +-8.4676
     czp_diag = dyn.build_czp_strong(lat) + dyn.build_perturbation(lat, "break_zz_nn", 0.05)
     for op in (heff, czp_diag):
-        # random_state fills the whole space, a support every H maps into
-        # itself but far above _EXACT_SUPPORT: it runs the recursion
+        # random_state fills the whole space, whose states both operators
+        # couple: it runs the recursion
         values, counters = propagate(op, random_state, [1.0])
         assert counters.chebyshev_order > 0
         assert counters.probe_dim == 0
