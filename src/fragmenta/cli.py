@@ -54,6 +54,9 @@ def _finite_float(text):
     return value
 
 
+MAX_STEPS = 100_000  # evolve's grid times; each costs about 2.5 KB of peak RSS
+
+
 def _emit(report, out):
     _write(json.dumps(_canonical(report), indent=2) + "\n", out)
 
@@ -191,6 +194,8 @@ def _cmd_syndrome_demo(args):
 
 
 def _cmd_evolve(args):
+    if not 0 <= args.steps <= MAX_STEPS:
+        raise ValueError(f"--steps must lie in [0, {MAX_STEPS}], got {args.steps}")
     lat, block = _block(args)
     if args.hamiltonian == "heff":
         H = dyn.build_heff(lat, h=args.h)

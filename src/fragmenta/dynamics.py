@@ -422,12 +422,13 @@ def _propagate(op, psi0, times, tol, rows):
         raise ValueError("the propagator needs a real symmetric operator")
     times = np.asarray(times, dtype=float)
 
-    S = np.flatnonzero(psi0)
+    on = np.flatnonzero(psi0[rows])
+    S = rows[on]
     sub = H[S]
     if not np.any(sub.data[sub.indices != np.repeat(S, np.diff(sub.indptr))]):
         d = np.asarray(sub.sum(axis=1)).ravel()  # row sums: every other entry is zero
         values = np.zeros((len(times), len(rows)), dtype=complex)
-        values[:, np.searchsorted(rows, S)] = np.exp(-1j * np.outer(times, d)) * psi0[S]
+        values[:, on] = np.exp(-1j * np.outer(times, d)) * psi0[S]
         return values, PropagatorCounters(0, len(S), 0.0, 0.0, 0)
 
     norm = float(np.linalg.norm(psi0))

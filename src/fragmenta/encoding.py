@@ -2,11 +2,11 @@
 
 Toggling all spins of one sublattice maps code states to code states, so the
 code manifold splits into orbits of four under the two commuting sublattice
-toggles.  Each orbit is a LogicalBlock encoding two qubits: the block's
-canonical representative alpha fixes the (0,0) corner and the member with
-labels (sigma_A, sigma_B) is alpha with the corresponding sublattice masks
-XORed in.  enumerate_blocks checks every orbit of the code-state scan in one
-vectorized pass.
+toggles.  Each orbit is a LogicalBlock encoding two qubits: the member with
+labels (sigma_A, sigma_B) is the (0,0) member alpha with the corresponding
+sublattice masks XORed in.  enumerate_blocks builds every orbit of the
+code-state scan as a row whose columns follow MEMBER_LABELS, checks them all
+in one vectorized pass, and each block keeps its orbit row as its members.
 
 Everything in the logical layer is held on the four members, in
 MEMBER_LABELS order.  A logical operator is the read-only 4 x 4 matrix
@@ -58,20 +58,12 @@ class LogicalBlock:
     """Symmetry orbit of four code states encoding two logical qubits."""
 
     lattice: Lattice
-    alpha: int  # representative, lexicographic minimum of the orbit
-
-    def member(self, sigma_a, sigma_b):
-        cfg = self.alpha
-        if sigma_a:
-            cfg ^= self.lattice.mask_a
-        if sigma_b:
-            cfg ^= self.lattice.mask_b
-        return cfg
+    members: tuple  # the four member configurations (ints) in MEMBER_LABELS order
 
     @property
-    def members(self):
-        """The four member configurations in MEMBER_LABELS order."""
-        return tuple(self.member(sa, sb) for sa, sb in MEMBER_LABELS)
+    def alpha(self):
+        """The (0,0) member, the orbit's representative and lexicographic minimum."""
+        return self.members[0]
 
     @property
     def dimension(self):
@@ -84,15 +76,16 @@ def enumerate_blocks(lat):
     Every orbit member must lie in the code-state scan, else OrbitDegeneracyError.
     """
     states = code_states(lat)
-    orbits = states[:, None] ^ np.array([0, lat.mask_a, lat.mask_b, lat.mask_a ^ lat.mask_b])
+    toggles = [sa * lat.mask_a ^ sb * lat.mask_b for sa, sb in MEMBER_LABELS]
+    orbits = states[:, None] ^ np.array(toggles)
     found = states[np.searchsorted(states, orbits).clip(max=len(states) - 1)] == orbits
     if not np.all(found):
         i, j = np.argwhere(~found)[0]
         raise OrbitDegeneracyError(
             f"orbit member {orbits[i, j]:#x} of {states[i]:#x} is not a code state"
         )
-    alphas = states[orbits.min(axis=1) == states]
-    return [LogicalBlock(lattice=lat, alpha=alpha) for alpha in alphas.tolist()]
+    rows = orbits[orbits.min(axis=1) == states]
+    return [LogicalBlock(lattice=lat, members=tuple(row)) for row in rows.tolist()]
 
 
 def embed_block_operator(block, small):
@@ -177,14 +170,8 @@ def logical_state(block, amplitudes):
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError(f"amplitudes not normalized: |c| = {nrm}")
     state = np.zeros(block.dimension, dtype=complex)
-    for c, member in zip(amplitudes, block.members):
-        state[member] = c
+    state[list(block.members)] = amplitudes
     return state
-
-
-def block_amplitudes(state, block):
-    """The four in-block amplitudes of a dense state."""
-    return np.array([state[m] for m in block.members], dtype=complex)
 
 
 def block_tomography(amplitudes):
@@ -206,4 +193,4 @@ def logical_tomography(state, block):
     All logical operators vanish outside the block, so nothing else of the
     state enters.
     """
-    return block_tomography(block_amplitudes(state, block))
+    return block_tomography(state[list(block.members)])

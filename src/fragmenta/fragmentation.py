@@ -34,7 +34,7 @@ of one configuration on a lattice up to L = 8 (64 sites): a breadth-first
 search one frontier at a time, with flippable_mask applied to the whole
 frontier for each site (uint32 configurations up to 32 sites, uint64 above).
 It raises ValueError for a configuration outside [0, 2**n_sites) and
-RuntimeError once the component has more than size_cap states.
+RuntimeError once the component has more than SECTOR_SIZE_CAP states.
 """
 
 from collections import Counter
@@ -47,6 +47,7 @@ from . import config as cfgmod
 from .lattice import Lattice
 
 FORMULA_OFFSET = 8  # closed-form code-state count is 2^(L+2) - 8
+SECTOR_SIZE_CAP = 1 << 22  # states sector_of may visit before it gives up
 
 
 def formula_count(L):
@@ -186,14 +187,14 @@ def krylov_decompose(lat: Lattice):
     return sectors
 
 
-def sector_of(cfg, lat, size_cap=1 << 22):
+def sector_of(cfg, lat):
     """Breadth-first search of one configuration's component, a frontier at a time.
 
     Each level applies flippable_mask to the whole frontier once per site;
     the flipped configurations not seen before form the next frontier.  seen
     stays sorted: each level sorts its flips, drops repeats and known states
     with one searchsorted against seen, and inserts the rest in place.
-    Raises RuntimeError once the component has more than size_cap states.
+    Raises RuntimeError once the component has more than SECTOR_SIZE_CAP states.
     """
     cfg = int(cfg)
     if not 0 <= cfg < 1 << lat.n_sites:
@@ -209,8 +210,8 @@ def sector_of(cfg, lat, size_cap=1 << 22):
         new = seen[pos.clip(max=len(seen) - 1)] != flipped
         new[1:] &= flipped[1:] != flipped[:-1]
         frontier = flipped[new]
-        if len(seen) + len(frontier) > size_cap:
-            raise RuntimeError(f"component exceeded size cap {size_cap}")
+        if len(seen) + len(frontier) > SECTOR_SIZE_CAP:
+            raise RuntimeError(f"component exceeded size cap {SECTOR_SIZE_CAP}")
         seen = np.insert(seen, pos[new], frontier)
     rep = int(seen[0])
     signs = cfgmod.cz_signs(seen[:1], lat)[0]

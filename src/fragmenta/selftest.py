@@ -44,6 +44,7 @@ BELL_TOL = 1e-10
 ALGEBRA_TOL = 1e-12
 STATIONARITY_TOL = 1e-8
 QUDIT_TOL = 1e-12
+SYNDROME_SAMPLES = 10_000  # random configurations criterion 2 flips at every site
 CONTRAST_FACTOR = 10.0
 CONTRAST_LAMBDA = 0.05
 CONTRAST_J = 1.0  # plaquette coupling of the contrast's CZ_p base model
@@ -96,9 +97,9 @@ def criterion_frozen_count(lat):
     return CriterionResult(1, "frozen_count", passed, details)
 
 
-def criterion_syndrome_conservation(lat, seed, n_samples=10_000):
+def criterion_syndrome_conservation(lat, seed):
     rng = np.random.default_rng(seed)
-    cfgs = rng.integers(0, 1 << lat.n_sites, size=n_samples, dtype=np.uint32)
+    cfgs = rng.integers(0, 1 << lat.n_sites, size=SYNDROME_SAMPLES, dtype=np.uint32)
     signs = cfgmod.cz_signs(cfgs, lat)
     violations = 0
     n_moves = 0
@@ -108,8 +109,8 @@ def criterion_syndrome_conservation(lat, seed, n_samples=10_000):
         after = cfgmod.cz_signs(flipped, lat)
         n_moves += int(np.count_nonzero(legal))
         violations += int(np.count_nonzero(np.any(after != signs[legal], axis=1)))
-    passed = violations == 0 and n_samples >= 10_000
-    details = {"samples": n_samples, "legal_moves_checked": n_moves,
+    passed = violations == 0 and SYNDROME_SAMPLES >= 10_000
+    details = {"samples": SYNDROME_SAMPLES, "legal_moves_checked": n_moves,
                "violations": violations}
     return CriterionResult(2, "syndrome_conservation", passed, details)
 
@@ -269,7 +270,7 @@ def criterion_coherence_contrast(lat, blocks, seed):
     ratio = loss_brk / loss_sym if loss_sym > 0 else float("inf")
     passed = ratio >= CONTRAST_FACTOR
     diag = brk.matrix.diagonal()
-    d_e = float(diag[block.member(0, 0)] - diag[block.member(1, 0)])
+    d_e = float(diag[block.members[0]] - diag[block.members[2]])
     details = {
         "lambda": CONTRAST_LAMBDA,
         "J": CONTRAST_J,

@@ -7,7 +7,7 @@ import pytest
 
 from fragmenta import encoding as enc
 from fragmenta import selftest
-from fragmenta.cli import main
+from fragmenta.cli import MAX_STEPS, main
 from fragmenta.lattice import build_lattice
 
 
@@ -154,6 +154,21 @@ def test_quadflip_rejects_at_once_with_one_error_line(capsys, argv, message):
     assert elapsed < 1.0
     (line,) = captured.err.splitlines()
     assert json.loads(line)["message"] == message
+
+
+@pytest.mark.parametrize("steps", [MAX_STEPS + 1, 400_000_000, -2])
+def test_evolve_rejects_steps_outside_the_grid_cap_at_once(capsys, steps):
+    # the step count is checked before the lattice, operator or grid is built
+    start = time.perf_counter()
+    code = main(["evolve", "--steps", str(steps)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert elapsed < 1.0
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "ValueError"
+    assert error["message"] == f"--steps must lie in [0, {MAX_STEPS}], got {steps}"
 
 
 def test_out_file(tmp_path, capsys):

@@ -356,7 +356,7 @@ def test_coherence_break_run_is_exact_cosine(lat, heff, blocks):
     pert = dyn.build_perturbation(lat, "break_longitudinal_random", 0.05, seed=7)
     op = heff + pert
     diag = pert.matrix.diagonal()
-    d_e = float(diag[block.member(0, 0)] - diag[block.member(1, 0)])
+    d_e = float(diag[block.members[0]] - diag[block.members[2]])
     times = np.linspace(0.0, 8.0, 5)
     series = dyn.coherence_experiment(block, op, times, tol=1e-10)
     for k, t in enumerate(times):
@@ -435,7 +435,7 @@ def test_chebyshev_path_against_expm_multiply(lat, blocks):
     rng = np.random.default_rng(5)
     psi0 = np.zeros(1 << lat.n_sites, dtype=complex)
     for site in range(0, lat.n_sites, 3):
-        psi0[block.member(0, 0) ^ (1 << site)] = rng.normal() + 1j * rng.normal()
+        psi0[block.members[0] ^ (1 << site)] = rng.normal() + 1j * rng.normal()
     psi0 /= np.linalg.norm(psi0)
     op = dyn.build_hczp(lat, J=1.0, h=0.5)
     times = np.linspace(0.0, 1.0, 5)
@@ -522,7 +522,7 @@ def test_stored_zero_couplings_take_the_exact_path(lat, blocks, build):
     op = build(lat)
     assert op.matrix.nnz > 0 and not np.any(op.matrix.data)
     psi0 = enc.logical_state(blocks[0], [0.6, 0.0, 0.0, 0.8j])
-    psi0[blocks[0].member(0, 0) ^ 1] = 0.5
+    psi0[blocks[0].members[0] ^ 1] = 0.5
     values, counters = propagate(op, psi0, [0.0, 3.0])
     assert counters == dyn.PropagatorCounters(0, 3, 0.0, 0.0, 0)
     reference = expm_multiply(-3j * op.matrix.astype(complex), psi0)

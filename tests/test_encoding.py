@@ -81,11 +81,14 @@ def test_blocks_partition_code_states(lat, blocks):
 
 
 def test_member_order(lat, blocks):
-    b = blocks[0]
-    assert b.member(0, 0) == b.alpha
-    assert b.member(1, 0) == b.alpha ^ lat.mask_a
-    assert b.member(0, 1) == b.alpha ^ lat.mask_b
-    assert b.member(1, 1) == b.alpha ^ lat.mask_a ^ lat.mask_b
+    # members follow MEMBER_LABELS on every block, as plain Python ints
+    assert len(blocks) == 14
+    for b in blocks:
+        assert b.alpha == b.members[0]
+        for sa, sb in enc.MEMBER_LABELS:
+            member = b.members[2 * sa + sb]
+            assert type(member) is int
+            assert member == b.alpha ^ (sa * lat.mask_a) ^ (sb * lat.mask_b)
 
 
 @pytest.mark.parametrize("sublattice", ["A", "B"])
@@ -188,7 +191,7 @@ def test_tomography_matches_full_space_expectations(blocks):
         assert tom.keys() == ops.keys()
         for key, op in ops.items():
             assert tom[key] == pytest.approx(np.vdot(state, op @ state).real, abs=1e-12), key
-        assert tom == enc.block_tomography(enc.block_amplitudes(state, block))
+        assert tom == enc.block_tomography(state[list(block.members)])
 
 
 def test_logical_state_requires_normalization(blocks):

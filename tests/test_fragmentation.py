@@ -308,17 +308,20 @@ def test_sector_of_frozen_state_is_singleton(lat):
     assert all(v == 1 for v in sec.syndrome)
 
 
-def test_sector_of_size_cap(lat):
+def test_sector_of_size_cap(lat, monkeypatch):
+    monkeypatch.setattr(fr, "SECTOR_SIZE_CAP", 4)
     with pytest.raises(RuntimeError):
-        fr.sector_of(0, lat, size_cap=4)
+        fr.sector_of(0, lat)
 
 
-def test_sector_of_size_cap_is_inclusive(lat):
+def test_sector_of_size_cap_is_inclusive(lat, monkeypatch):
     size = fr.sector_of(0, lat).size
     assert size == len(_bfs_members(0, lat))
-    assert fr.sector_of(0, lat, size_cap=size).size == size
+    monkeypatch.setattr(fr, "SECTOR_SIZE_CAP", size)
+    assert fr.sector_of(0, lat).size == size
+    monkeypatch.setattr(fr, "SECTOR_SIZE_CAP", size - 1)
     with pytest.raises(RuntimeError):
-        fr.sector_of(0, lat, size_cap=size - 1)
+        fr.sector_of(0, lat)
 
 
 @pytest.mark.parametrize("cfg", [1 << 16, -1])

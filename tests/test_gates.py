@@ -101,10 +101,10 @@ def test_cnot_truth_table(lat, block):
         nz = np.nonzero(out)[0]
         assert len(nz) == 1 and out[nz[0]] == 1.0
         mapping[(sa, sb)] = int(nz[0])
-    assert mapping[(0, 0)] == block.member(0, 0)
-    assert mapping[(0, 1)] == block.member(0, 1)
-    assert mapping[(1, 0)] == block.member(1, 1)
-    assert mapping[(1, 1)] == block.member(1, 0)
+    assert mapping[(0, 0)] == block.members[0]
+    assert mapping[(0, 1)] == block.members[1]
+    assert mapping[(1, 0)] == block.members[3]
+    assert mapping[(1, 1)] == block.members[2]
 
 
 def test_cnot_is_involution(lat, block):
