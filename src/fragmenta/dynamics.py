@@ -70,7 +70,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import config as cfgmod
-from .encoding import DEFAULT_PROBE, block_tomography, logical_state
+from .encoding import DEFAULT_PROBE, _check_state, block_tomography, logical_state
 from .fragmentation import move_graph
 
 PERTURBATION_KINDS = (
@@ -210,16 +210,6 @@ def build_perturbation(lat, kind, lam, seed=0):
 def _check_tol(tol):
     if not 1e-12 <= tol < np.inf:  # also rejects nan
         raise ValueError("tol must be finite and >= 1e-12")
-
-
-def _check_state(psi, dim):
-    """psi as a new complex vector; ValueError unless it has shape (dim,) and finite entries."""
-    psi = np.array(psi, dtype=complex)
-    if psi.shape != (dim,):
-        raise ValueError(f"the state must have shape ({dim},), got {psi.shape}")
-    if not np.all(np.isfinite(psi)):
-        raise ValueError("state amplitudes must be finite")
-    return psi
 
 
 class _Sectors:

@@ -161,6 +161,16 @@ def verify_pauli_algebra(block):
 DEFAULT_PROBE = (1.0 / np.sqrt(2.0), 0.0, 1.0 / np.sqrt(2.0), 0.0)
 
 
+def _check_state(psi, dim):
+    """psi as a new complex vector; ValueError unless it has shape (dim,) and finite entries."""
+    psi = np.array(psi, dtype=complex)
+    if psi.shape != (dim,):
+        raise ValueError(f"the state must have shape ({dim},), got {psi.shape}")
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("state amplitudes must be finite")
+    return psi
+
+
 def logical_state(block, amplitudes):
     """Dense state vector sum_i amplitudes[i] |member_i> (MEMBER_LABELS order)."""
     amplitudes = np.asarray(amplitudes, dtype=complex)

@@ -1,16 +1,16 @@
-"""Transversal logical gates on full dense state vectors, and their ideal action.
+"""Transversal logical gates on dense state vectors, and their ideal action.
 
 All gates are products of single-site (or disjoint two-site) physical gates
-and are applied as in-place amplitude sweeps paired by bit masks; no
-full-space gate matrix is ever materialized.  logical_gate is the one table
-of what each gate should do to a block: a 4 x 4 matrix on the members, in
-MEMBER_LABELS order, built from the logical Pauli table, or None where the
-gate leaks.
+and act on the support of the state only, the configurations
+flatnonzero(state) it occupies; no full-space gate matrix or index sweep is
+ever built.  logical_gate is the one table of what each gate should do to a
+block: a 4 x 4 matrix on the members, in MEMBER_LABELS order, built from the
+logical Pauli table, or None where the gate leaks.
 
-* apply_rx: product of single-site x rotations over one sublattice.  Exact
-  logical X at theta = pi (up to the global phase (-i)^N_s); at generic
-  angles the state leaks out of the code space and the leakage is reported,
-  not hidden.
+* apply_rx: product of single-site x rotations over one sublattice, growing
+  the support one site at a time.  Exact logical X at theta = pi (up to the
+  global phase (-i)^N_s); at generic angles the state leaks out of the code
+  space and the leakage is reported, not hidden.
 * apply_rz: product of single-site z rotations with site-dependent signs
   read off the block representative and angle phi / (2 N_s) per site.  On a
   block member with sublattice label sigma_s the accumulated phase is
@@ -18,8 +18,8 @@ gate leaks.
 * apply_logical_cnot: physical CNOTs from each A site onto its paired B
   site, conjugated by X on the A sites where the representative holds a 1,
   so the control fires exactly when the physical bit differs from the
-  representative.  This is a basis permutation realizing logical CNOT
-  (control A, target B) on the block.
+  representative.  This is a basis permutation (cnot_image) realizing
+  logical CNOT (control A, target B) on the block.
 """
 
 import math
@@ -27,20 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import _TWO_QUBIT, logical_operator, logical_tomography
-
-
-def _rotate_x_site(psi, site, cos_half, sin_half):
-    """In-place exp(-i theta/2 X_site) given cos/sin of the half angle."""
-    m = 1 << site
-    view = psi.reshape(-1, 2 * m)
-    lo = view[:, :m]
-    hi = view[:, m:]
-    tmp = lo.copy()
-    lo *= cos_half
-    lo += (-1j * sin_half) * hi
-    hi *= cos_half
-    hi += (-1j * sin_half) * tmp
+from .encoding import _TWO_QUBIT, _check_state, logical_operator, logical_tomography
+from .syndrome import inject_pauli
 
 
 def _sublattice(lat, sublattice):
@@ -53,13 +41,25 @@ def _sublattice(lat, sublattice):
 
 
 def apply_rx(state, lat, sublattice, theta):
-    """Product of exp(-i theta/2 X_j) over all sites of one sublattice."""
-    psi = np.array(state, dtype=complex, copy=True)
+    """Product of exp(-i theta/2 X_j) over one sublattice, on a support grown per site.
+
+    Site j maps amplitude a(y) to c a(y) + (-i s) a(y ^ bit_j), c, s = cos, sin(theta/2).
+    """
+    psi = _check_state(state, 1 << lat.n_sites)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    sites, _ = _sublattice(lat, sublattice)
-    for site in sites:
-        _rotate_x_site(psi, int(site), c, s)
-    return psi
+    configs = np.flatnonzero(psi)
+    amplitudes = psi[configs]
+    for site in _sublattice(lat, sublattice)[0]:
+        flipped, moved = inject_pauli((configs, amplitudes), int(site), "X")
+        grown, index = np.unique(np.concatenate((configs, flipped)), return_inverse=True)
+        rotated = np.zeros(len(grown), dtype=complex)
+        # each half lists a configuration once: the X branch adds onto the c branch
+        rotated[index[:len(configs)]] = c * amplitudes
+        rotated[index[len(configs):]] += (-1j * s) * moved
+        configs, amplitudes = grown, rotated
+    out = np.zeros_like(psi)
+    out[configs] = amplitudes
+    return out
 
 
 def apply_rz(state, block, sublattice, phi):
@@ -70,36 +70,33 @@ def apply_rz(state, block, sublattice, phi):
     holds 1.  Diagonal in the computational basis, so in-block states never
     leak.
     """
+    psi = _check_state(state, block.dimension)
     lat = block.lattice
     _, mask = _sublattice(lat, sublattice)
     n_s = lat.n_sublattice
-    dim = block.dimension
-    idx = np.arange(dim, dtype=np.uint64)
+    configs = np.flatnonzero(psi)
     # sum_j s_j z_j(n) = N_s - 2 * popcount((n xor alpha) & mask)
-    mismatch = np.bitwise_count(np.bitwise_and(idx ^ np.uint64(block.alpha), np.uint64(mask)))
-    exponent = n_s - 2.0 * mismatch.astype(np.float64)
-    phases = np.exp(-1j * (phi / (2.0 * n_s)) * exponent)
-    return state * phases
+    exponent = n_s - 2.0 * np.bitwise_count((configs ^ block.alpha) & mask)
+    psi[configs] *= np.exp(-1j * (phi / (2.0 * n_s)) * exponent)
+    return psi
 
 
-def cnot_permutation(block):
-    """Basis permutation of the dressed CNOT circuit (an involution)."""
+def cnot_image(block, configs):
+    """Where the dressed CNOT circuit (an involution) sends each configuration."""
     lat = block.lattice
-    dim = block.dimension
-    idx = np.arange(dim, dtype=np.int64)
-    targets = np.zeros(dim, dtype=np.int64)
-    for a in lat.a_sites:
-        a = int(a)
-        partner_bit = np.int64(1 << int(lat.cnot_partner_table[a]))
-        sigma = (block.alpha >> a) & 1
-        fires = ((idx >> a) & 1) != sigma
-        targets ^= np.where(fires, partner_bit, 0)
-    return idx ^ targets
+    configs = np.asarray(configs, dtype=np.int64)
+    fires = configs ^ block.alpha  # the control bits that differ from the representative
+    return configs ^ sum(((fires >> int(a)) & 1) << int(lat.cnot_partner_table[a])
+                         for a in lat.a_sites)
 
 
 def apply_logical_cnot(state, block):
     """Dressed transversal CNOT (control qubit A, target qubit B)."""
-    return state[cnot_permutation(block)]
+    psi = _check_state(state, block.dimension)
+    configs = np.flatnonzero(psi)
+    out = np.zeros_like(psi)
+    out[cnot_image(block, configs)] = psi[configs]
+    return out
 
 
 def logical_gate(lat, gate, sublattice="A", angle=0.0):

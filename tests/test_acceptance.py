@@ -46,6 +46,11 @@ def test_criterion_2_syndrome_conservation(lat):
     assert r.passed, r.details
 
 
+def test_criterion_2_samples_at_least_ten_thousand():
+    # the sample size is a constant, so the criterion's verdict leaves it out
+    assert st.SYNDROME_SAMPLES >= 10_000
+
+
 def test_criterion_3_stationarity(heff, blocks):
     r = _report(st.criterion_stationarity(heff, blocks))
     assert r.passed, r.details

@@ -309,6 +309,43 @@ def test_integer_outputs_match_golden(capsys, name):
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+GATES_DEMO_RUNS = {
+    "cnot": ("--gate", "cnot"),
+    "rx": ("--gate", "rx", "--theta", "0.7"),
+    "rz": ("--gate", "rz", "--phi", "1.3"),
+}
+# gate amplitudes and tomography are O(1) and a few roundings deep
+GOLDEN_FLOAT_TOL = 1e-14
+
+
+def assert_matches_golden(got, want, path="$"):
+    """Keys, integers and strings exactly; floats within GOLDEN_FLOAT_TOL."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_matches_golden(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= GOLDEN_FLOAT_TOL, f"{path}: {got!r} != {want!r}"
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("gate", sorted(GATES_DEMO_RUNS))
+def test_gates_demo_matches_float_golden(capsys, gate):
+    code, out = run_cli(capsys, "gates-demo", *GATES_DEMO_RUNS[gate])
+    assert code == 0
+    want = (GOLDEN / f"gates_demo_{gate}.jsonl").read_text().splitlines()
+    got = out.splitlines()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_matches_golden(json.loads(g), json.loads(w))
+
+
 def test_evolve_breaking_perturbation_at_zero_lambda(capsys):
     code, out = run_cli(capsys, "evolve", "--perturbation", "break_zz_nn",
                         "--lambda", "0")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,104 @@ def basis_state(block, k):
     amps = np.zeros(4)
     amps[k] = 1.0
     return enc.logical_state(block, amps)
+
+
+def random_block_state(rng, block):
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return enc.logical_state(block, amps / np.linalg.norm(amps))
+
+
+# The oracle: dense gates that sweep all 2^16 amplitudes.  RX pairs the two
+# halves of a reshape per site, RZ multiplies by a phase table over every
+# index, CNOT permutes every index.
+
+
+def dense_rx(state, lat, sublattice, theta):
+    psi = np.array(state, dtype=complex, copy=True)
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    for site in lat.a_sites if sublattice == "A" else lat.b_sites:
+        m = 1 << int(site)
+        view = psi.reshape(-1, 2 * m)
+        lo, hi = view[:, :m], view[:, m:]
+        tmp = lo.copy()
+        lo *= c
+        lo += (-1j * s) * hi
+        hi *= c
+        hi += (-1j * s) * tmp
+    return psi
+
+
+def dense_rz(state, block, sublattice, phi):
+    lat = block.lattice
+    mask = lat.mask_a if sublattice == "A" else lat.mask_b
+    idx = np.arange(block.dimension, dtype=np.uint64)
+    mismatch = np.bitwise_count((idx ^ np.uint64(block.alpha)) & np.uint64(mask))
+    exponent = lat.n_sublattice - 2.0 * mismatch.astype(np.float64)
+    # named, so numpy does not reuse the temporary and swap the operands:
+    # with fused multiply-add the imaginary part depends on their order
+    phases = np.exp(-1j * (phi / (2.0 * lat.n_sublattice)) * exponent)
+    return state * phases
+
+
+def dense_cnot_permutation(block):
+    lat = block.lattice
+    idx = np.arange(block.dimension, dtype=np.int64)
+    targets = np.zeros(block.dimension, dtype=np.int64)
+    for a in lat.a_sites:
+        fires = ((idx >> int(a)) & 1) != ((block.alpha >> int(a)) & 1)
+        targets ^= np.where(fires, np.int64(1 << int(lat.cnot_partner_table[a])), 0)
+    return idx ^ targets
+
+
+def oracle_differences(psi, lat, block):
+    """Largest |support gate - dense gate| per gate and parameter."""
+    out = {"cnot": np.abs(gates.apply_logical_cnot(psi, block)
+                          - psi[dense_cnot_permutation(block)]).max()}
+    for s in ("A", "B"):
+        for theta in (np.pi, np.pi / 2, 0.3, 0.0, 2 * np.pi):
+            out["rx", s, theta] = np.abs(gates.apply_rx(psi, lat, s, theta)
+                                         - dense_rx(psi, lat, s, theta)).max()
+        for phi in (0.3, 2.1):
+            out["rz", s, phi] = np.abs(gates.apply_rz(psi, block, s, phi)
+                                       - dense_rz(psi, block, s, phi)).max()
+    return out
+
+
+def test_gates_match_the_dense_oracle_exactly_on_every_block(lat, blocks):
+    # the same floating-point operations per amplitude, so no rounding apart
+    rng = np.random.default_rng(41)
+    idx = np.arange(1 << lat.n_sites)
+    for block in blocks:
+        assert np.array_equal(gates.cnot_image(block, idx), dense_cnot_permutation(block))
+        diffs = oracle_differences(random_block_state(rng, block), lat, block)
+        assert diffs == dict.fromkeys(diffs, 0.0)
+
+
+def test_gates_match_the_dense_oracle_on_a_full_support_state(lat, block):
+    rng = np.random.default_rng(43)
+    psi = rng.normal(size=1 << lat.n_sites) + 1j * rng.normal(size=1 << lat.n_sites)
+    psi /= np.linalg.norm(psi)
+    assert max(oracle_differences(psi, lat, block).values()) <= 1e-15
+
+
+GATES = {
+    "cnot": lambda psi, lat, block: gates.apply_logical_cnot(psi, block),
+    "rx": lambda psi, lat, block: gates.apply_rx(psi, lat, "A", 0.3),
+    "rz": lambda psi, lat, block: gates.apply_rz(psi, block, "A", 0.3),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_gates_reject_a_wrong_length_or_non_finite_state(lat, block, gate):
+    psi = basis_state(block, 0)
+    for bad_entry in (np.nan, np.inf):
+        bad = psi.copy()
+        bad[block.members[1]] = bad_entry
+        with pytest.raises(ValueError, match="finite"):
+            GATES[gate](bad, lat, block)
+    for wrong_length in (np.ones(100), psi[:-1], np.append(psi, 0.0)):
+        with pytest.raises(ValueError, match="shape"):
+            GATES[gate](wrong_length, lat, block)
 
 
 def test_rx_zero_is_identity(lat, block):
@@ -108,8 +208,10 @@ def test_cnot_truth_table(lat, block):
 
 
 def test_cnot_is_involution(lat, block):
-    perm = gates.cnot_permutation(block)
-    assert np.array_equal(perm[perm], np.arange(len(perm)))
+    configs = np.arange(1 << lat.n_sites)
+    image = gates.cnot_image(block, configs)
+    assert np.array_equal(np.sort(image), configs)
+    assert np.array_equal(gates.cnot_image(block, image), configs)
 
 
 def test_cnot_bell_state(lat, block):
@@ -123,11 +225,10 @@ def test_cnot_bell_state(lat, block):
 
 def test_cnot_commutes_with_za_and_xb_on_block(lat, block):
     # as restricted 4x4 matrices: CNOT commutes with control Z and target X
-    perm = gates.cnot_permutation(block)
     members = list(block.members)
     small = np.zeros((4, 4))
-    for c, m in enumerate(members):
-        small[members.index(int(perm[m])), c] = 1.0
+    for c, m in enumerate(gates.cnot_image(block, members).tolist()):
+        small[members.index(m), c] = 1.0
     z_a = np.diag([1.0, 1.0, -1.0, -1.0])
     x_b = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.abs(small @ z_a - z_a @ small).max() == 0.0
