@@ -180,8 +180,6 @@ def _cmd_gates_demo(args):
 
 def _cmd_syndrome_demo(args):
     lat, block = _block(args)
-    if args.site is not None and not 0 <= args.site < lat.n_sites:
-        raise ValueError(f"--site must lie in [0, {lat.n_sites}), got {args.site}")
     sites = [args.site] if args.site is not None else list(range(lat.n_sites))
     paulis = [args.pauli] if args.pauli else ["X", "Z"]
     reports = {}

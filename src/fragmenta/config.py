@@ -1,12 +1,15 @@
-"""Bit-packed z-basis spin configurations and their local predicates.
+"""Bit-packed z-basis spin configurations and their local rules.
 
 A configuration is a plain Python int: bit k is the state of site k (1 means
 |1>), so a configuration doubles as the index of its basis state in a dense
-state vector.  Bits at or above L^2 are always zero.  Functions come in two
-flavors: scalar predicates on a single int (the reference definitions the
-tests check the kernels against) and vectorized kernels on numpy arrays of
-packed configurations (the path the program runs; arrays must use an
-unsigned dtype wide enough for L^2 bits).
+state vector.  Bits at or above L^2 are always zero.  The scalar predicates
+on one int read lat.neighbors and the plaquette corner tables; they are the
+reference the tests check the kernels against.  The vectorized kernels (the
+path the program runs) take numpy arrays in an unsigned dtype wide enough for
+L^2 bits and build one word per configuration and local rule from its four
+neighbor shifts (east and west rotate each row, north and south the whole
+word by L): flippable_sites sets bit i when site i can flip, crossings sets
+bit p when plaquette p has CZ = -1.
 
 Plaquette conventions: the CZ eigenvalue of a plaquette is (-1)^(number of
 plaquette edges with both endpoints in |1>), which reduces to the closed form
@@ -92,41 +95,41 @@ def config_range(n_sites):
     return np.arange(1 << n_sites, dtype=np.uint32)
 
 
-def flippable_mask(cfgs, lat, i):
-    """Boolean mask over cfgs: site i flippable (4 neighbor bits equal)."""
-    j0, j1, j2, j3 = (int(j) for j in lat.neighbors[i])
-    b0 = (cfgs >> j0) & 1
-    b1 = (cfgs >> j1) & 1
-    b2 = (cfgs >> j2) & 1
-    b3 = (cfgs >> j3) & 1
-    return (b0 == b1) & (b1 == b2) & (b2 == b3)
+def _rot(r, n, k=1):
+    """Cyclic rotation of n-bit words: bit x of the result holds bit x + k of r."""
+    return ((r >> k) | (r << (n - k))) & ((1 << n) - 1)
 
 
-def frozen_mask(cfgs, lat):
-    """Boolean mask over cfgs: no site flippable."""
-    out = np.ones(cfgs.shape, dtype=bool)
-    for i in range(lat.n_sites):
-        out &= ~flippable_mask(cfgs, lat, i)
-    return out
+def _row_rot(w, L, k):
+    """_rot of each L-bit row of an L x L word: bit (x, y) holds bit (x + k, y)."""
+    stay = sum(((1 << (L - k)) - 1) << (y * L) for y in range(L))  # columns x < L - k
+    return ((w >> k) & stay) | ((w << (L - k)) & (((1 << L * L) - 1) ^ stay))
+
+
+def _agreement(a, b, c, d, full):
+    """Bits of `full` where words a, b, c and d agree; broadcast operands meet in the last AND."""
+    return full & ~(a ^ b) & ~(a ^ c) & ~(a ^ d)
+
+
+def flippable_sites(cfgs, lat):
+    """Word per configuration: bit i set when the four neighbors of site i agree."""
+    w, n, L = np.asarray(cfgs), lat.n_sites, lat.L
+    return _agreement(_row_rot(w, L, 1), _row_rot(w, L, L - 1), _rot(w, n, L),
+                      _rot(w, n, n - L), (1 << n) - 1)
+
+
+def crossings(cfgs, lat):
+    """Word per configuration: bit p set when both diagonals of plaquette p differ: CZ_p = -1."""
+    w, L = np.asarray(cfgs), lat.L
+    north = _rot(w, lat.n_sites, L)
+    return (w ^ _row_rot(north, L, 1)) & (_row_rot(w, L, 1) ^ north)  # (p, NE) and (E, N)
 
 
 def cz_signs(cfgs, lat):
-    """(len(cfgs), n_plaquettes) int8 matrix of CZ eigenvalues."""
-    cfgs = np.asarray(cfgs)
-    out = np.empty(cfgs.shape + (lat.n_plaquettes,), dtype=np.int8)
-    for p in range(lat.n_plaquettes):
-        a1, a2 = (int(c) for c in lat.plaq_a_corners[p])
-        b1, b2 = (int(c) for c in lat.plaq_b_corners[p])
-        a_wall = ((cfgs >> a1) ^ (cfgs >> a2)) & 1
-        b_wall = ((cfgs >> b1) ^ (cfgs >> b2)) & 1
-        out[..., p] = 1 - 2 * (a_wall & b_wall).astype(np.int8)
-    return out
-
-
-def intersection_counts(cfgs, lat):
-    """Per-configuration count of CZ = -1 plaquettes."""
-    signs = cz_signs(cfgs, lat)
-    return np.sum(signs < 0, axis=-1)
+    """(len(cfgs), n_plaquettes) int8 matrix of CZ eigenvalues: 1 - 2 * bit p of crossings."""
+    crossed = crossings(cfgs, lat)[..., None]
+    bits = (crossed >> np.arange(lat.n_plaquettes, dtype=crossed.dtype)) & 1
+    return 1 - 2 * bits.astype(np.int8)
 
 
 def stabilizer_signs(cfgs, lat):

@@ -70,7 +70,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import config as cfgmod
-from .encoding import DEFAULT_PROBE, _check_state, block_tomography, logical_state
+from .encoding import DEFAULT_PROBE, _check_finite, _check_state, block_tomography, logical_state
 from .fragmentation import move_graph
 
 PERTURBATION_KINDS = (
@@ -107,12 +107,6 @@ class SparseOperator:
         return SparseOperator(matrix=(self.matrix + other.matrix).tocsr(), toggles=shared)
 
 
-def _check_finite(**coefficients):
-    for name, value in coefficients.items():
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def build_heff(lat, h=1.0):
     """Constrained flip model: -h between pairs related by a legal flip."""
     _check_finite(h=h)
@@ -125,7 +119,9 @@ def _plaquette_model(lat, J, h, constrained):
     """-J sum_p CZ_p on the diagonal plus -h times move_graph(lat, constrained)."""
     _check_finite(J=J, h=h)
     cfgs = cfgmod.config_range(lat.n_sites)
-    energy = -J * cfgmod.cz_signs(cfgs, lat).sum(axis=1).astype(np.float64)
+    # sum_p CZ_p = n_plaquettes - 2 * (number of CZ_p = -1)
+    crossed = np.bitwise_count(cfgmod.crossings(cfgs, lat)).astype(np.float64)
+    energy = -J * (lat.n_plaquettes - 2.0 * crossed)
     flips = move_graph(lat, constrained)
     flips.data *= -h  # in place, as in build_heff
     matrix = sp.diags(energy, format="csr") + flips

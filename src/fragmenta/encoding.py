@@ -161,6 +161,12 @@ def verify_pauli_algebra(block):
 DEFAULT_PROBE = (1.0 / np.sqrt(2.0), 0.0, 1.0 / np.sqrt(2.0), 0.0)
 
 
+def _check_finite(**coefficients):
+    for name, value in coefficients.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _check_state(psi, dim):
     """psi as a new complex vector; ValueError unless it has shape (dim,) and finite entries."""
     psi = np.array(psi, dtype=complex)

@@ -2,7 +2,8 @@
 
 The constrained dynamics allows a spin flip only when the four neighbors of
 the flipped site agree, so the move graph on packed configurations has an
-edge between cfg and cfg^ (1<<i) exactly when flippable_mask holds.  Every
+edge between cfg and cfg ^ (1<<i) exactly when bit i of cfg's
+config.flippable_sites word is set.  Every
 move conserves every plaquette CZ eigenvalue, which is what fragments the
 configuration space into exponentially many disconnected sectors.
 
@@ -31,8 +32,8 @@ Three independent routes are provided and cross-checked by the tests:
 The first two build the full space and stop at config.config_range's cap
 (24 sites, so L = 4; L = 6 fails at once).  sector_of explores the component
 of one configuration on a lattice up to L = 8 (64 sites): a breadth-first
-search one frontier at a time, with flippable_mask applied to the whole
-frontier for each site (uint32 configurations up to 32 sites, uint64 above).
+search one frontier at a time, on the frontier's flippable_sites words
+(uint32 configurations up to 32 sites, uint64 above).
 It raises ValueError for a configuration outside [0, 2**n_sites) and
 RuntimeError once the component has more than SECTOR_SIZE_CAP states.
 """
@@ -44,6 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import config as cfgmod
+from .config import _agreement, _rot
 from .lattice import Lattice
 
 FORMULA_OFFSET = 8  # closed-form code-state count is 2^(L+2) - 8
@@ -105,8 +107,8 @@ def _report(L, method, n_code, n_unflippable=None):
 def _frozen_scan(lat):
     """The unflippable configurations, then the code states among them."""
     cfgs = cfgmod.config_range(lat.n_sites)
-    frozen = cfgs[cfgmod.frozen_mask(cfgs, lat)]
-    return frozen, frozen[cfgmod.intersection_counts(frozen, lat) == 0]
+    frozen = cfgs[cfgmod.flippable_sites(cfgs, lat) == 0]
+    return frozen, frozen[cfgmod.crossings(frozen, lat) == 0]
 
 
 def enumerate_frozen(lat: Lattice) -> EnumerationReport:
@@ -127,18 +129,19 @@ def code_states(lat: Lattice) -> np.ndarray:
 def move_graph(lat: Lattice, constrained=True) -> sp.csr_matrix:
     """Unit-weight CSR adjacency of single flips on the packed basis.
 
-    Row cfg holds 1.0 at column cfg ^ (1 << i) for every site i that
-    flippable_mask allows in cfg, or for every site when constrained is
-    False.  The reverse flip is legal too (the neighbors of i are
+    Row cfg holds 1.0 at column cfg ^ (1 << i) for every site i whose bit
+    is set in cfg's flippable_sites word, or for every site when constrained
+    is False.  The reverse flip is legal too (the neighbors of i are
     unchanged), so the matrix is symmetric.
     """
     cfgs = cfgmod.config_range(lat.n_sites)
+    movable = cfgmod.flippable_sites(cfgs, lat) if constrained else ~np.zeros_like(cfgs)
     rows = []
     cols = []
     for i in range(lat.n_sites):
-        src = cfgs[cfgmod.flippable_mask(cfgs, lat, i)] if constrained else cfgs
-        rows.append(src.astype(np.int64))
-        cols.append((src ^ np.uint32(1 << i)).astype(np.int64))
+        src = cfgs[(movable >> i) & 1 == 1]
+        rows.append(src.view(np.int32))  # config_range keeps every value below 2^24
+        cols.append((src ^ np.uint32(1 << i)).view(np.int32))
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     dim = len(cfgs)
@@ -190,10 +193,10 @@ def krylov_decompose(lat: Lattice):
 def sector_of(cfg, lat):
     """Breadth-first search of one configuration's component, a frontier at a time.
 
-    Each level applies flippable_mask to the whole frontier once per site;
-    the flipped configurations not seen before form the next frontier.  seen
-    stays sorted: each level sorts its flips, drops repeats and known states
-    with one searchsorted against seen, and inserts the rest in place.
+    Each level flips site i in the frontier configurations whose
+    flippable_sites word has bit i set.  seen stays sorted: each level sorts
+    its flips, drops repeats and known states with one searchsorted against
+    seen and inserts the rest in place; the rest form the next frontier.
     Raises RuntimeError once the component has more than SECTOR_SIZE_CAP states.
     """
     cfg = int(cfg)
@@ -202,9 +205,9 @@ def sector_of(cfg, lat):
     dtype = np.uint32 if lat.n_sites <= 32 else np.uint64
     seen = frontier = np.array([cfg], dtype=dtype)
     while len(frontier):
+        movable = cfgmod.flippable_sites(frontier, lat)
         flipped = np.sort(np.concatenate([
-            frontier[cfgmod.flippable_mask(frontier, lat, i)] ^ dtype(1 << i)
-            for i in range(lat.n_sites)
+            frontier[(movable >> i) & 1 == 1] ^ dtype(1 << i) for i in range(lat.n_sites)
         ]))
         pos = np.searchsorted(seen, flipped)
         new = seen[pos.clip(max=len(seen) - 1)] != flipped
@@ -213,14 +216,9 @@ def sector_of(cfg, lat):
         if len(seen) + len(frontier) > SECTOR_SIZE_CAP:
             raise RuntimeError(f"component exceeded size cap {SECTOR_SIZE_CAP}")
         seen = np.insert(seen, pos[new], frontier)
-    rep = int(seen[0])
     signs = cfgmod.cz_signs(seen[:1], lat)[0]
-    return KrylovSector(
-        representative=rep,
-        size=len(seen),
-        syndrome=tuple(signs.tolist()),
-        is_frozen_sector=(len(seen) == 1),
-    )
+    return KrylovSector(representative=int(seen[0]), size=len(seen),
+                        syndrome=tuple(signs.tolist()), is_frozen_sector=(len(seen) == 1))
 
 
 def sector_histogram(sectors):
@@ -230,11 +228,6 @@ def sector_histogram(sectors):
 
 # ---------------------------------------------------------------------------
 # transfer-matrix counting of code states
-
-
-def _rot(r, L, k=1):
-    """Cyclic rotation of L-bit rows: bit x of the result holds bit x + k of r."""
-    return ((r >> k) | (r << (L - k))) & ((1 << L) - 1)
 
 
 def _clean_row_pairs(L):
@@ -257,12 +250,10 @@ def _admitted(below, m, above, L):
     """Mask: no site of middle row m is flippable between rows below and above.
 
     Arrays broadcast.  Site x is flippable when m_{x-1}, m_{x+1}, below_x and
-    above_x agree; with left = rot^-1(m), those sites are the set bits of
-    ~(below ^ left) & ~(above ^ left) & ~(left ^ rot(m)).
+    above_x agree: the four-way agreement of config.flippable_sites, on the
+    row's west and east rotations and the rows below and above.
     """
-    left = _rot(m, L, L - 1)
-    agree = ~(left ^ _rot(m, L)) & ((1 << L) - 1)
-    return (~(below ^ left) & (~(above ^ left) & agree)) == 0
+    return _agreement(_rot(m, L, L - 1), _rot(m, L), below, above, (1 << L) - 1) == 0
 
 
 def _transfer_matrix(L):

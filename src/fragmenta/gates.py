@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import _TWO_QUBIT, _check_state, logical_operator, logical_tomography
+from .encoding import _TWO_QUBIT, _check_finite, _check_state, logical_operator, logical_tomography
 from .syndrome import inject_pauli
 
 
@@ -45,6 +45,7 @@ def apply_rx(state, lat, sublattice, theta):
 
     Site j maps amplitude a(y) to c a(y) + (-i s) a(y ^ bit_j), c, s = cos, sin(theta/2).
     """
+    _check_finite(theta=theta)
     psi = _check_state(state, 1 << lat.n_sites)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     configs = np.flatnonzero(psi)
@@ -70,6 +71,7 @@ def apply_rz(state, block, sublattice, phi):
     holds 1.  Diagonal in the computational basis, so in-block states never
     leak.
     """
+    _check_finite(phi=phi)
     psi = _check_state(state, block.dimension)
     lat = block.lattice
     _, mask = _sublattice(lat, sublattice)

@@ -100,15 +100,15 @@ def criterion_frozen_count(lat):
 def criterion_syndrome_conservation(lat, seed):
     rng = np.random.default_rng(seed)
     cfgs = rng.integers(0, 1 << lat.n_sites, size=SYNDROME_SAMPLES, dtype=np.uint32)
-    signs = cfgmod.cz_signs(cfgs, lat)
+    crossed = cfgmod.crossings(cfgs, lat)
+    movable = cfgmod.flippable_sites(cfgs, lat)
     violations = 0
     n_moves = 0
     for i in range(lat.n_sites):
-        legal = cfgmod.flippable_mask(cfgs, lat, i)
-        flipped = cfgs[legal] ^ np.uint32(1 << i)
-        after = cfgmod.cz_signs(flipped, lat)
+        legal = (movable >> i) & 1 == 1
+        after = cfgmod.crossings(cfgs[legal] ^ np.uint32(1 << i), lat)
         n_moves += int(np.count_nonzero(legal))
-        violations += int(np.count_nonzero(np.any(after != signs[legal], axis=1)))
+        violations += int(np.count_nonzero(after != crossed[legal]))
     passed = violations == 0
     details = {"samples": SYNDROME_SAMPLES, "legal_moves_checked": n_moves,
                "violations": violations}

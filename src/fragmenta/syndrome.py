@@ -125,6 +125,8 @@ def detection_experiment(block, site, pauli):
     untouched on sublattice B.
     """
     lat = block.lattice
+    if not 0 <= site < lat.n_sites:
+        raise ValueError(f"site must lie in [0, {lat.n_sites}), got {site}")
     probe = np.asarray(DEFAULT_PROBE, dtype=complex)
     on = np.flatnonzero(probe)
     hit = inject_pauli((np.array(block.members)[on], probe[on]), site, pauli)

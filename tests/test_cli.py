@@ -193,6 +193,7 @@ def test_usage_error_exit_code():
     ("gates-demo", "--block", "-1"),
     ("syndrome-demo", "--block", "99"),
     ("syndrome-demo", "--site", "16"),
+    ("syndrome-demo", "--site", "-1"),
     ("evolve", "--block", "99"),
     ("frozen-count", "--L", "6", "--method", "brute"),
     ("frozen-count", "--L", "6"),

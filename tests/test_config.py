@@ -153,38 +153,49 @@ def test_stabilizer_parity_identity(lat):
 
 
 def test_symmetry_covariance(lat):
-    # cz and frozenness are invariant under the sublattice toggles
+    # cz and the flip rule are invariant under the sublattice toggles
     rng = np.random.default_rng(11)
     cfgs = rng.integers(0, 1 << 16, size=100, dtype=np.uint32)
     base = cm.cz_signs(cfgs, lat)
+    crossed = cm.crossings(cfgs, lat)
+    movable = cm.flippable_sites(cfgs, lat)
     for mask in (lat.mask_a, lat.mask_b, lat.mask_a ^ lat.mask_b):
         toggled = cfgs ^ np.uint32(mask)
         assert np.array_equal(cm.cz_signs(toggled, lat), base)
-    frozen = cm.frozen_mask(cfgs, lat)
-    for mask in (lat.mask_a, lat.mask_b):
-        assert np.array_equal(cm.frozen_mask(cfgs ^ np.uint32(mask), lat), frozen)
+        assert np.array_equal(cm.crossings(toggled, lat), crossed)
+        assert np.array_equal(cm.flippable_sites(toggled, lat), movable)
+
+
+def assert_words_match_scalars(cfgs, lat):
+    """Every bit of the word kernels, and the sign matrices, against the scalar predicates."""
+    movable = cm.flippable_sites(cfgs, lat)
+    crossed = cm.crossings(cfgs, lat)
+    assert movable.dtype == crossed.dtype == cfgs.dtype
+    signs = cm.cz_signs(cfgs, lat)
+    stabs = cm.stabilizer_signs(cfgs, lat)
+    for k, cfg in enumerate(cfgs.tolist()):
+        flips, crossing = int(movable[k]), int(crossed[k])
+        assert flips >> lat.n_sites == crossing >> lat.n_plaquettes == 0
+        assert cm.is_frozen(cfg, lat) == (flips == 0)
+        assert cm.intersection_count(cfg, lat) == crossing.bit_count()
+        for i in range(lat.n_sites):
+            assert cm.is_flippable(cfg, lat, i) == bool((flips >> i) & 1)
+        for p in range(lat.n_plaquettes):
+            assert cm.cz_plaquette(cfg, lat, p) == signs[k, p] == 1 - 2 * ((crossing >> p) & 1)
+            assert cm.stabilizer_zp(cfg, lat, p) == stabs[k, p]
 
 
 def test_scalar_vectorized_agreement(lat):
     rng = np.random.default_rng(7)
     cfgs = rng.integers(0, 1 << 16, size=50, dtype=np.uint32)
-    signs = cm.cz_signs(cfgs, lat)
-    stabs = cm.stabilizer_signs(cfgs, lat)
-    frozen = cm.frozen_mask(cfgs, lat)
-    for k, cfg in enumerate(cfgs.tolist()):
-        assert cm.is_frozen(cfg, lat) == bool(frozen[k])
-        for p in range(lat.n_plaquettes):
-            assert cm.cz_plaquette(cfg, lat, p) == signs[k, p]
-            assert cm.stabilizer_zp(cfg, lat, p) == stabs[k, p]
-        for i in range(lat.n_sites):
-            assert cm.is_flippable(cfg, lat, i) == bool(
-                cm.flippable_mask(np.array([cfg], dtype=np.uint32), lat, i)[0]
-            )
+    examples = [0, (1 << 16) - 1, stripe_config(4), stripe_config(4, horizontal=False),
+                vertical_code_config()]
+    assert_words_match_scalars(np.concatenate([cfgs, np.array(examples, dtype=np.uint32)]), lat)
 
 
 @pytest.mark.parametrize("L", (6, 8))
 def test_scalar_vectorized_agreement_uint64(L):
-    # above 32 sites (sector_of, syndromes) the kernels run on uint64
+    # above 32 sites (sector_of) the kernels run on uint64
     wide = build_lattice(L)
     n = wide.n_sites
 
@@ -193,17 +204,7 @@ def test_scalar_vectorized_agreement_uint64(L):
     @example(stripe_config(L))  # frozen
     @example((1 << n) - 1)      # all ones, top bit included
     def check(cfg):
-        cfgs = np.array([cfg], dtype=np.uint64)
-        assert bool(cm.frozen_mask(cfgs, wide)[0]) == cm.is_frozen(cfg, wide)
-        for i in range(n):
-            assert bool(cm.flippable_mask(cfgs, wide, i)[0]) == \
-                cm.is_flippable(cfg, wide, i)
-        signs = cm.cz_signs(cfgs, wide)[0]
-        stabs = cm.stabilizer_signs(cfgs, wide)[0]
-        for p in range(wide.n_plaquettes):
-            assert signs[p] == cm.cz_plaquette(cfg, wide, p)
-            assert stabs[p] == cm.stabilizer_zp(cfg, wide, p)
-        assert cm.intersection_counts(cfgs, wide)[0] == cm.intersection_count(cfg, wide)
+        assert_words_match_scalars(np.array([cfg], dtype=np.uint64), wide)
 
     assert cm.is_frozen(stripe_config(L), wide)
     check()

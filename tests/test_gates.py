@@ -118,6 +118,15 @@ def test_gates_reject_a_wrong_length_or_non_finite_state(lat, block, gate):
             GATES[gate](wrong_length, lat, block)
 
 
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+def test_rotations_reject_a_non_finite_angle(lat, block, angle):
+    psi = basis_state(block, 0)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        gates.apply_rx(psi, lat, "A", angle)
+    with pytest.raises(ValueError, match="phi must be finite"):
+        gates.apply_rz(psi, block, "A", angle)
+
+
 def test_rx_zero_is_identity(lat, block):
     psi = basis_state(block, 0)
     out = gates.apply_rx(psi, lat, "A", 0.0)

@@ -56,10 +56,8 @@ def test_all_zeros_syndrome(lat):
 def test_non_code_frozen_states_have_defects(lat):
     # every unflippable state with intersections shows at least one -1
     cfgs = np.arange(1 << 16, dtype=np.uint32)
-    frozen = cm.frozen_mask(cfgs, lat)
-    frozen_cfgs = cfgs[frozen]
-    nint = cm.intersection_counts(frozen_cfgs, lat)
-    non_code = frozen_cfgs[nint > 0]
+    frozen_cfgs = cfgs[cm.flippable_sites(cfgs, lat) == 0]
+    non_code = frozen_cfgs[cm.crossings(frozen_cfgs, lat) != 0]
     assert len(non_code) == enumerate_frozen(lat).count_unflippable - 56
     stabs = cm.stabilizer_signs(non_code, lat)
     assert np.all(np.any(stabs == -1, axis=1))
@@ -155,6 +153,18 @@ def test_detection_builds_no_pauli_products(lat, blocks, monkeypatch):
     monkeypatch.setattr(np, "kron", forbidden)
     rep = syn.detection_experiment(blocks[0], 3, "Y")
     assert rep.defect_count == 4
+
+
+@pytest.mark.parametrize("pauli", ["X", "Y", "Z"])
+@pytest.mark.parametrize("site", [-1, 16])
+def test_detection_rejects_a_site_off_the_lattice(blocks, monkeypatch, site, pauli):
+    # numpy reads site -1 as a no-op shift and lat.sublattice[-1] as site 15
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Pauli was injected")
+
+    monkeypatch.setattr(syn, "inject_pauli", forbidden)
+    with pytest.raises(ValueError, match=r"site must lie in \[0, 16\)"):
+        syn.detection_experiment(blocks[0], site, pauli)
 
 
 def test_detection_x_error(lat, blocks):
