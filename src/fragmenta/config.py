@@ -2,14 +2,13 @@
 
 A configuration is a plain Python int: bit k is the state of site k (1 means
 |1>), so a configuration doubles as the index of its basis state in a dense
-state vector.  Bits at or above L^2 are always zero.  The scalar predicates
-on one int read lat.neighbors and the plaquette corner tables; they are the
-reference the tests check the kernels against.  The vectorized kernels (the
-path the program runs) take numpy arrays in an unsigned dtype wide enough for
-L^2 bits and build one word per configuration and local rule from its four
-neighbor shifts (east and west rotate each row, north and south the whole
-word by L): flippable_sites sets bit i when site i can flip, crossings sets
-bit p when plaquette p has CZ = -1.
+state vector.  Bits at or above L^2 are always zero.  Scalar predicates on
+one int read lat.neighbors and the corner tables: the reference the tests
+check the kernels against.  The vectorized kernels, the path the program
+runs, take numpy arrays (an unsigned dtype wide enough for L^2 bits) and
+build one word per configuration from its four neighbor shifts, east and
+west within each row, north and south by L: flippable_sites sets bit i when
+site i can flip and crossings sets bit p when plaquette p has CZ = -1.
 
 Plaquette conventions: the CZ eigenvalue of a plaquette is (-1)^(number of
 plaquette edges with both endpoints in |1>), which reduces to the closed form

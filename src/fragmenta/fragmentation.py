@@ -2,8 +2,7 @@
 
 The constrained dynamics allows a spin flip only when the four neighbors of
 the flipped site agree, so the move graph on packed configurations has an
-edge between cfg and cfg ^ (1<<i) exactly when bit i of cfg's
-config.flippable_sites word is set.  Every
+edge between cfg and cfg ^ (1<<i) exactly when flippable_sites has bit i.  Every
 move conserves every plaquette CZ eigenvalue, which is what fragments the
 configuration space into exponentially many disconnected sectors.
 
@@ -136,14 +135,11 @@ def move_graph(lat: Lattice, constrained=True) -> sp.csr_matrix:
     """
     cfgs = cfgmod.config_range(lat.n_sites)
     movable = cfgmod.flippable_sites(cfgs, lat) if constrained else ~np.zeros_like(cfgs)
-    rows = []
-    cols = []
-    for i in range(lat.n_sites):
-        src = cfgs[(movable >> i) & 1 == 1]
-        rows.append(src.view(np.int32))  # config_range keeps every value below 2^24
-        cols.append((src ^ np.uint32(1 << i)).view(np.int32))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    sources = [cfgs[(movable >> i) & 1 == 1] for i in range(lat.n_sites)]
+    # int32 views, not int64 copies: config_range keeps every value below 2^24
+    rows = np.concatenate(sources).view(np.int32)
+    flipped = [src ^ np.uint32(1 << i) for i, src in enumerate(sources)]
+    cols = np.concatenate(flipped).view(np.int32)
     dim = len(cfgs)
     return sp.csr_matrix(
         (np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(dim, dim)
@@ -216,9 +212,14 @@ def sector_of(cfg, lat):
         if len(seen) + len(frontier) > SECTOR_SIZE_CAP:
             raise RuntimeError(f"component exceeded size cap {SECTOR_SIZE_CAP}")
         seen = np.insert(seen, pos[new], frontier)
+    rep = int(seen[0])
     signs = cfgmod.cz_signs(seen[:1], lat)[0]
-    return KrylovSector(representative=int(seen[0]), size=len(seen),
-                        syndrome=tuple(signs.tolist()), is_frozen_sector=(len(seen) == 1))
+    return KrylovSector(
+        representative=rep,
+        size=len(seen),
+        syndrome=tuple(signs.tolist()),
+        is_frozen_sector=(len(seen) == 1),
+    )
 
 
 def sector_histogram(sectors):

@@ -195,7 +195,7 @@ def test_scalar_vectorized_agreement(lat):
 
 @pytest.mark.parametrize("L", (6, 8))
 def test_scalar_vectorized_agreement_uint64(L):
-    # above 32 sites (sector_of) the kernels run on uint64
+    # above 32 sites (sector_of, syndromes) the kernels run on uint64
     wide = build_lattice(L)
     n = wide.n_sites
 
