@@ -13,6 +13,10 @@ sublattice toggles exactly, and two symmetry-breaking kinds (longitudinal
 random-sign fields and nearest-neighbor ZZ); _commutes verifies which at
 construction.  Random signs are used for the breaking default because a
 uniform field can have a vanishing first-order effect on sublattice-balanced code states.
+The diagonal kinds are popcounts of neighbor-shift words, like the plaquette
+energy: with z_i z_j = 1 - 2 (bit_i xor bit_j), a ZZ sum over two bonds per
+site is 2N - 2 sum_b popcount(w xor w_b), and the field sum_i s_i z_i is
+sum_i s_i - 2 (popcount(w & up) - popcount(w & down)), up and down its sign masks.
 
 The CZ_p model at strong coupling (build_czp_strong) is heff plus the
 plaquette energy: a flip that creates wall crossings costs at least 2J.
@@ -138,10 +142,6 @@ def build_czp_strong(lat, J=1.0, h=1.0):
     return _plaquette_model(lat, J, h, constrained=True)
 
 
-def _z_values(cfgs, site):
-    return 1.0 - 2.0 * ((cfgs >> np.uint32(site)) & np.uint32(1)).astype(np.float64)
-
-
 def _commutes(matrix, mask):
     """Whether a canonical CSR matrix equals its conjugate by x -> x ^ mask, entry for entry.
 
@@ -166,26 +166,26 @@ def build_perturbation(lat, kind, lam, seed=0):
     are recorded: a sym_ kind must commute with both exactly, a break_ kind must not.
     """
     _check_finite(lam=lam)
-    cfgs = cfgmod.config_range(lat.n_sites)
-
     if kind == "sym_transverse":
         matrix = move_graph(lat, constrained=False)
     elif kind in PERTURBATION_KINDS:
-        diag = np.zeros(len(cfgs), dtype=np.float64)
+        w, n, L = cfgmod.config_range(lat.n_sites), lat.n_sites, lat.L
         if kind == "break_longitudinal_random":
             rng = np.random.default_rng(seed)
             signs = rng.choice(np.array([-1.0, 1.0]), size=lat.n_sites)
-            for i in range(lat.n_sites):
-                diag += signs[i] * _z_values(cfgs, i)
+            up = sum(1 << i for i, s in enumerate(signs) if s > 0)
+            down = ((1 << n) - 1) ^ up
+            # sum_i s_i z_i, z_i = 1 - 2 bit_i; in float, as uint8 popcounts wrap
+            diag = signs.sum() - 2.0 * (np.bitwise_count(w & up).astype(np.float64)
+                                        - np.bitwise_count(w & down))
         else:
-            # next-nearest (diagonal) pairs stay on one sublattice, nearest
-            # pairs join A to B; two pairs per site either way
-            offsets = ((1, 1), (1, -1)) if kind == "sym_zz_nnn" else ((1, 0), (0, 1))
-            for i in range(lat.n_sites):
-                x, y = lat.site_xy(i)
-                for dx, dy in offsets:
-                    j = lat.site_index(x + dx, y + dy)
-                    diag += _z_values(cfgs, i) * _z_values(cfgs, j)
+            # z_i z_j = 1 - 2 (bit_i ^ bit_j), summed over the two bonds each site owns
+            if kind == "break_zz_nn":  # east and north: A to B
+                bonds = (cfgmod._row_rot(w, L, 1), cfgmod._rot(w, n, L))
+            else:  # north-east and south-east: within one sublattice
+                bonds = (cfgmod._row_rot(cfgmod._rot(w, n, L), L, 1),
+                         cfgmod._row_rot(cfgmod._rot(w, n, n - L), L, 1))
+            diag = 2.0 * n - 2.0 * sum(np.bitwise_count(w ^ b).astype(np.float64) for b in bonds)
         matrix = sp.diags(diag, format="csr")
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")

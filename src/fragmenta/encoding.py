@@ -183,7 +183,7 @@ def logical_state(block, amplitudes):
     if amplitudes.shape != (4,):
         raise ValueError("amplitudes must be 4 complex numbers")
     nrm = np.linalg.norm(amplitudes)
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:  # also rejects nan
         raise ValueError(f"amplitudes not normalized: |c| = {nrm}")
     state = np.zeros(block.dimension, dtype=complex)
     state[list(block.members)] = amplitudes

@@ -68,7 +68,7 @@ class KrylovSector:
 @dataclass(frozen=True)
 class EnumerationReport:
     L: int
-    method: str                           # "brute_force" or "transfer_matrix"
+    method: str                           # brute_force, transfer_matrix or connected_components
     count_unflippable: int | None         # None when not computed by the method
     count_code_states: int
     formula_value: int

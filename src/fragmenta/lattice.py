@@ -41,9 +41,6 @@ class Lattice:
     def site_index(self, x, y):
         return (y % self.L) * self.L + (x % self.L)
 
-    def site_xy(self, i):
-        return i % self.L, i // self.L
-
 
 def build_lattice(L):
     """Build the full geometry for an even linear size L >= 4.

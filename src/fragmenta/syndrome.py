@@ -50,6 +50,8 @@ def extract_syndrome(support, lat):
     are returned with uniform=False rather than silently averaged.
     """
     configs, amplitudes = map(np.asarray, support)
+    if configs.dtype.kind not in "iu" or not np.all(np.isfinite(amplitudes)):
+        raise ValueError(f"configs must be integers (got {configs.dtype}), amplitudes finite")
     outside = configs[(configs < 0) | (configs >= 1 << lat.n_sites)]
     if len(outside):
         raise ValueError(f"configuration {outside[0]} is outside [0, 2**{lat.n_sites})")

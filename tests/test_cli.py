@@ -319,19 +319,19 @@ GATES_DEMO_RUNS = {
 GOLDEN_FLOAT_TOL = 1e-14
 
 
-def assert_matches_golden(got, want, path="$"):
-    """Keys, integers and strings exactly; floats within GOLDEN_FLOAT_TOL."""
+def assert_matches_golden(got, want, path="$", tol=GOLDEN_FLOAT_TOL):
+    """Keys, integers and strings exactly; floats within tol."""
     assert type(got) is type(want), path
     if isinstance(want, dict):
         assert list(got) == list(want), path
         for key in want:
-            assert_matches_golden(got[key], want[key], f"{path}.{key}")
+            assert_matches_golden(got[key], want[key], f"{path}.{key}", tol)
     elif isinstance(want, list):
         assert len(got) == len(want), path
         for i, (g, w) in enumerate(zip(got, want)):
-            assert_matches_golden(g, w, f"{path}[{i}]")
+            assert_matches_golden(g, w, f"{path}[{i}]", tol)
     elif isinstance(want, float):
-        assert abs(got - want) <= GOLDEN_FLOAT_TOL, f"{path}: {got!r} != {want!r}"
+        assert abs(got - want) <= tol, f"{path}: {got!r} != {want!r}"
     else:
         assert got == want, path
 
@@ -345,6 +345,26 @@ def test_gates_demo_matches_float_golden(capsys, gate):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert_matches_golden(json.loads(g), json.loads(w))
+
+
+EVOLVE_RUNS = {
+    "heff_break_longitudinal_random": ("--perturbation", "break_longitudinal_random"),
+    "czp_sym_zz_nnn": ("--hamiltonian", "czp", "--perturbation", "sym_zz_nnn",
+                       "--tmax", "2", "--steps", "4"),
+    "czp_break_zz_nn": ("--hamiltonian", "czp", "--perturbation", "break_zz_nn",
+                        "--tmax", "2", "--steps", "4"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(EVOLVE_RUNS))
+def test_evolve_matches_float_golden(capsys, run):
+    # the exact path is a phase per eigenstate, a few roundings deep; a
+    # recursion run's values stay within the error bound it records
+    code, out = run_cli(capsys, "evolve", *EVOLVE_RUNS[run])
+    assert code == 0
+    want = json.loads((GOLDEN / f"evolve_{run}.json").read_text())
+    tol = want["error_bound"] if want["chebyshev_order"] else GOLDEN_FLOAT_TOL
+    assert_matches_golden(json.loads(out), want, tol=tol)
 
 
 def test_evolve_breaking_perturbation_at_zero_lambda(capsys):

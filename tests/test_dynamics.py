@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh, expm_multiply
 
+from fragmenta import config as cm
 from fragmenta import dynamics as dyn
 from fragmenta import encoding as enc
 from fragmenta.fragmentation import code_states, krylov_decompose
@@ -146,16 +147,15 @@ def test_symmetry_check_agrees_with_conjugation_on_the_hamiltonians(lat, build):
 @pytest.mark.parametrize(
     "kind", ("sym_zz_nnn", "break_longitudinal_random", "break_zz_nn", "sym_transverse"))
 def test_symmetry_check_rejects_one_changed_diagonal_entry(lat, kind, monkeypatch):
-    # z of site 0 changed in the all-up configuration, where every partner
-    # of site 0 has z = 1, changes that one diagonal entry; for the
-    # transverse field, one weight of the unconstrained move graph changes
-    z_values, move_graph = dyn._z_values, dyn.move_graph
+    # entry 0 of the diagonal, raised where it becomes a matrix, breaks the
+    # symmetry of a diagonal kind; for the transverse field, one weight of
+    # the unconstrained move graph changes
+    diags, move_graph = dyn.sp.diags, dyn.move_graph
 
-    def changed(cfgs, site):
-        z = z_values(cfgs, site)
-        if site == 0:
-            z[0] += 0.5
-        return z
+    def changed(diag, **kwargs):
+        diag = diag.copy()
+        diag[0] += 0.5
+        return diags(diag, **kwargs)
 
     def changed_weight(lat, constrained=True):
         graph = move_graph(lat, constrained)
@@ -163,13 +163,41 @@ def test_symmetry_check_rejects_one_changed_diagonal_entry(lat, kind, monkeypatc
         assert not commutes_with_toggle(graph, lat.mask_a, graph.shape[0])
         return graph
 
-    monkeypatch.setattr(dyn, "_z_values", changed)
+    monkeypatch.setattr(dyn.sp, "diags", changed)
     monkeypatch.setattr(dyn, "move_graph", changed_weight)
     if kind.startswith("sym_"):
         with pytest.raises(AssertionError):
             dyn.build_perturbation(lat, kind, 0.05, seed=7)
     else:
         assert dyn.build_perturbation(lat, kind, 0.05, seed=7).toggles == ()
+
+
+def diagonal_by_sites(lat, kind, seed):
+    """The diagonal of a diagonal kind as a sum over sites of z = 1 - 2 bit."""
+    cfgs = np.arange(1 << lat.n_sites)
+    z = [1.0 - 2.0 * cm.bit(cfgs, i) for i in range(lat.n_sites)]
+    diag = np.zeros(len(cfgs))
+    if kind == "break_longitudinal_random":
+        signs = np.random.default_rng(seed).choice(np.array([-1.0, 1.0]), size=lat.n_sites)
+        for i in range(lat.n_sites):
+            diag += signs[i] * z[i]
+        return diag
+    offsets = ((1, 1), (1, -1)) if kind == "sym_zz_nnn" else ((1, 0), (0, 1))
+    for i in range(lat.n_sites):
+        x, y = i % lat.L, i // lat.L
+        for dx, dy in offsets:
+            diag += z[i] * z[lat.site_index(x + dx, y + dy)]
+    return diag
+
+
+@pytest.mark.parametrize("kind, seed", [
+    ("sym_zz_nnn", 0), ("break_zz_nn", 0),
+    ("break_longitudinal_random", 0), ("break_longitudinal_random", 3),
+    ("break_longitudinal_random", 7),
+])
+def test_diagonal_kinds_match_the_per_site_sums(lat, kind, seed):
+    got = dyn.build_perturbation(lat, kind, 1.0, seed).matrix.diagonal()
+    assert np.array_equal(got, diagonal_by_sites(lat, kind, seed))
 
 
 def test_symmetry_check_on_other_flip_graphs(lat):

@@ -197,3 +197,7 @@ def test_tomography_matches_full_space_expectations(blocks):
 def test_logical_state_requires_normalization(blocks):
     with pytest.raises(ValueError):
         enc.logical_state(blocks[0], (1.0, 1.0, 0.0, 0.0))
+    # a nan norm compares false with any bound, so it must be rejected by name
+    for bad in ((np.nan, 0.0, 0.0, 0.0), (np.inf, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, np.nan * 1j)):
+        with pytest.raises(ValueError):
+            enc.logical_state(blocks[0], bad)

@@ -65,7 +65,7 @@ def test_plaquette_site_incidence(L):
         for c in corners:
             from_corner[int(c)].add(p)
     for i in range(lat.n_sites):
-        x, y = lat.site_xy(i)
+        x, y = i % lat.L, i // lat.L
         lower_left = {lat.site_index(x - dx, y - dy) for dx in (0, 1) for dy in (0, 1)}
         assert from_corner[i] == lower_left
         assert len(from_corner[i]) == 4

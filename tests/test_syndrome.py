@@ -140,6 +140,18 @@ def test_extract_syndrome_rejects_out_of_range_configs(lat, cfg):
         syn.extract_syndrome((configs, np.ones(len(configs))), lat)
 
 
+@pytest.mark.parametrize("support", [
+    ([0, 1], [np.nan, 1.0]),   # would drop the nan-weighted config, then report config 1's
+    ([0], [np.inf]),
+    ([0, 1], [1.0, complex(0.0, np.nan)]),
+    ([1.5], [1.0]),            # would be truncated to config 1
+    (np.array([1.0]), [1.0]),
+])
+def test_extract_syndrome_rejects_malformed_support(lat, support):
+    with pytest.raises(ValueError):
+        syn.extract_syndrome(support, lat)
+
+
 def test_extract_syndrome_accepts_the_last_config(lat):
     res = syn.extract_syndrome(basis(DIM - 1), lat)
     assert res.uniform and all(s == -1 for s in res.signs)
