@@ -10,9 +10,10 @@ perturbation is that unconstrained graph itself.
 
 Perturbations come in two symmetric kinds, which commute with both
 sublattice toggles exactly, and two symmetry-breaking kinds (longitudinal
-random-sign fields and nearest-neighbor ZZ); _commutes verifies which at
-construction.  Random signs are used for the breaking default because a
-uniform field can have a vanishing first-order effect on sublattice-balanced code states.
+random-sign fields and nearest-neighbor ZZ); build_perturbation records both
+toggles for the first and none for the second.  Random signs are used for
+the breaking default because a uniform field can have a vanishing
+first-order effect on sublattice-balanced code states.
 The diagonal kinds are popcounts of neighbor-shift words, like the plaquette
 energy: with z_i z_j = 1 - 2 (bit_i xor bit_j), a ZZ sum over two bonds per
 site is 2N - 2 sum_b popcount(w xor w_b), and the field sum_i s_i z_i is
@@ -41,23 +42,26 @@ least 1 (so rows with no off-diagonal entry stay finite) and clipped to
 Gershgorin's interval.  The Bessel tail below is computed on that a.
 
 The recursion runs in the symmetry sectors of the XOR toggles the operator
-records (SparseOperator.toggles: the builders record both sublattice
-toggles where H commutes with them, and a sum keeps the toggles both terms
-share).  The toggles generate a group G, and H is block diagonal over its
-sectors: sector q is spanned by one orbit state |G|^(-1/2) sum_g chi_q(g)
-|r ^ g> per orbit representative r, so each block is 2^N / |G| wide.  The
-table chi_q(g), _Sectors.chars, is the only description of the sectors: psi
-is projected on them, and reassembled, by sums over it.  Each nonempty
-sector component is factored as z w, z its largest entry; a logical state
-has one amplitude per sector, so w is real and the sector runs one real
-recursion, where the whole space would run two (Re and Im psi).  A w with
-an imaginary part runs two.  With no toggles there is one sector, the
-whole space.  One recursion serves a whole time grid.  Its order is the
-smallest K whose Bessel tail |psi| sum_{k>=K} 2|J_k(at)| is at most tol at
-every requested time, so tol bounds the global 2-norm error at each time,
-not a per-step local error; the sector errors are orthogonal, so together
-they stay within that bound.  The J_k come from Miller's downward
-recurrence, rescaled at every step so that it cannot under- or overflow.
+records (SparseOperator.toggles: the builders record both sublattice toggles
+where H commutes with them, and a sum keeps the toggles both terms share).
+No recorded toggle is trusted: _Sectors checks that H commutes with every
+element of their group before it builds a sector, and raises ValueError if
+not; the exact path reads no toggles.  The toggles generate a group G, and H
+is block diagonal over its sectors: sector q is spanned by one orbit state
+|G|^(-1/2) sum_g chi_q(g) |r ^ g> per orbit representative r, so each block
+is 2^N / |G| wide.  The table chi_q(g), _Sectors.chars, is the only
+description of the sectors: psi is projected on them, and reassembled, by
+sums over it.  Each nonempty sector component is factored as z w, z its
+largest entry; a logical state has one amplitude per sector, so w is real
+and the sector runs one real recursion, where the whole space would run two
+(Re and Im psi).  A w with an imaginary part runs two.  With no toggles
+there is one sector, the whole space.  One recursion serves a whole time
+grid.  Its order is the smallest K whose Bessel tail |psi| sum_{k>=K}
+2|J_k(at)| is at most tol at every requested time, so tol bounds the global
+2-norm error at each time, not a per-step local error; the sector errors are
+orthogonal, so together they stay within that bound.  The J_k come from
+Miller's downward recurrence, rescaled at every step so that it cannot
+under- or overflow.
 
 The interval bounds are taken in the trivial sector of |O|, whose entries
 are those of |O| summed over each orbit.  A positive vector constant on
@@ -95,9 +99,10 @@ class SparseOperator:
     """CSR operator on the packed basis.
 
     toggles are XOR masks the operator commutes with; the propagator works
-    in their symmetry sectors.  build_perturbation records the toggles
-    _commutes verifies; the flip graphs and the plaquette energy commute
-    with both sublattice toggles by construction and record them unchecked.
+    in their symmetry sectors.  The builders record them by construction:
+    both sublattice toggles for the flip graphs, the plaquette energy and
+    the sym_ perturbations, none for the break_ ones.  _Sectors verifies
+    them, on every propagation that runs the recursion.
     """
 
     matrix: sp.csr_matrix
@@ -142,28 +147,11 @@ def build_czp_strong(lat, J=1.0, h=1.0):
     return _plaquette_model(lat, J, h, constrained=True)
 
 
-def _commutes(matrix, mask):
-    """Whether a canonical CSR matrix equals its conjugate by x -> x ^ mask, entry for entry.
-
-    Row x of the conjugate is row x ^ mask with its columns XOR-ed by mask; the row
-    lengths, then the sorted indices and data must match (a non-canonical matrix can only fail).
-    """
-    rows = np.arange(matrix.shape[0]) ^ mask
-    lengths = np.diff(matrix.indptr)
-    if not np.array_equal(lengths[rows], lengths):
-        return False
-    conj = matrix[rows]
-    conj = sp.csr_matrix((conj.data, conj.indices ^ mask, conj.indptr), shape=matrix.shape)
-    conj.sort_indices()
-    return np.array_equal(conj.indices, matrix.indices) and np.array_equal(conj.data, matrix.data)
-
-
 def build_perturbation(lat, kind, lam, seed=0):
     """One of the four perturbation kinds, scaled by lam.
 
-    Symmetry is verified at build time by _commutes on the unit-strength
-    operator, so that lam = 0 passes too, and the sublattice toggles that hold
-    are recorded: a sym_ kind must commute with both exactly, a break_ kind must not.
+    A sym_ kind records both sublattice toggles and a break_ kind none;
+    _Sectors verifies them where the propagator reads them.
     """
     _check_finite(lam=lam)
     if kind == "sym_transverse":
@@ -190,12 +178,8 @@ def build_perturbation(lat, kind, lam, seed=0):
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
 
-    toggles = tuple(m for m in (lat.mask_a, lat.mask_b) if _commutes(matrix, m))
-    if (len(toggles) == 2) != kind.startswith("sym_"):
-        raise AssertionError(
-            f"perturbation {kind} symmetry check failed ({len(toggles)} of 2 toggles commute)"
-        )
-    matrix.data *= lam  # after the check, which a zero operator would fail
+    matrix.data *= lam
+    toggles = (lat.mask_a, lat.mask_b) if kind.startswith("sym_") else ()
     return SparseOperator(matrix=matrix, toggles=toggles)
 
 
@@ -221,6 +205,9 @@ class _Sectors:
     entry moved to its column's representative and signed by chi_q.  With no
     toggles there is one sector, and it is H itself.  chars alone describes
     the sectors; _propagate sums over it by einsum (a BLAS call leaves threads spinning).
+    That H commutes with G is checked: for each g != 0, the rows r ^ g conjugated by g
+    (columns XOR-ed by g, then sorted) must have the row lengths, columns and data of the
+    rows r.  These rows are all of H, so the check is exact; ValueError if it fails.
     """
 
     def __init__(self, H, toggles):
@@ -239,6 +226,15 @@ class _Sectors:
         self.orbits = images[:, self.reps]             # r ^ g_s, shape (|G|, len(reps))
         self.diagonal = H.diagonal()[self.reps]
         self.rows = H[self.reps]
+        self.rows.sort_indices()
+        for g in group[1:]:
+            image = H[self.reps ^ g]
+            conj = sp.csr_matrix((image.data, image.indices ^ g, image.indptr), shape=image.shape)
+            conj.sort_indices()
+            if not (np.array_equal(conj.indptr, self.rows.indptr)
+                    and np.array_equal(conj.indices, self.rows.indices)
+                    and np.array_equal(conj.data, self.rows.data)):
+                raise ValueError(f"the operator does not commute with toggle group element {g:#x}")
         self.col_element = self.element[self.rows.indices]
 
     def block(self, q):
@@ -408,7 +404,7 @@ def _propagate(op, psi0, times, tol, rows):
         raise ValueError("the propagator needs a real symmetric operator")
     times = np.asarray(times, dtype=float)
 
-    on = np.flatnonzero(psi0[rows])
+    on = np.flatnonzero(psi0[rows] != 0)
     S = rows[on]
     sub = H[S]
     if not np.any(sub.data[sub.indices != np.repeat(S, np.diff(sub.indptr))]):
@@ -521,7 +517,7 @@ def coherence_experiment(block, op, times, tol=1e-10, initial=None):
     psi0 = _check_state(logical_state(block, DEFAULT_PROBE) if initial is None else initial,
                         op.matrix.shape[0])
     members = np.array(block.members)
-    rows = np.union1d(members, np.flatnonzero(psi0))
+    rows = np.union1d(members, np.flatnonzero(psi0 != 0))
     values, counters = _propagate(op, psi0, times, tol, rows)
     values[0] = psi0[rows]  # exact at t = 0, free of the propagator's rounding
     fidelity = np.abs(values @ psi0[rows].conj())

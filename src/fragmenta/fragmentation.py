@@ -193,8 +193,11 @@ def sector_of(cfg, lat):
     flippable_sites word has bit i set.  seen stays sorted: each level sorts
     its flips, drops repeats and known states with one searchsorted against
     seen and inserts the rest in place; the rest form the next frontier.
-    Raises RuntimeError once the component has more than SECTOR_SIZE_CAP states.
+    Raises RuntimeError once the component has more than SECTOR_SIZE_CAP
+    states, and ValueError for a configuration that is not an integer.
     """
+    if not isinstance(cfg, (int, np.integer)):
+        raise ValueError(f"configuration must be an integer, got {cfg!r}")
     cfg = int(cfg)
     if not 0 <= cfg < 1 << lat.n_sites:
         raise ValueError(f"configuration {cfg} is outside [0, 2**{lat.n_sites})")

@@ -48,7 +48,7 @@ def apply_rx(state, lat, sublattice, theta):
     _check_finite(theta=theta)
     psi = _check_state(state, 1 << lat.n_sites)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    configs = np.flatnonzero(psi)
+    configs = np.flatnonzero(psi != 0)
     amplitudes = psi[configs]
     for site in _sublattice(lat, sublattice)[0]:
         flipped, moved = inject_pauli((configs, amplitudes), int(site), "X")
@@ -76,7 +76,7 @@ def apply_rz(state, block, sublattice, phi):
     lat = block.lattice
     _, mask = _sublattice(lat, sublattice)
     n_s = lat.n_sublattice
-    configs = np.flatnonzero(psi)
+    configs = np.flatnonzero(psi != 0)
     # sum_j s_j z_j(n) = N_s - 2 * popcount((n xor alpha) & mask)
     exponent = n_s - 2.0 * np.bitwise_count((configs ^ block.alpha) & mask)
     psi[configs] *= np.exp(-1j * (phi / (2.0 * n_s)) * exponent)
@@ -95,7 +95,7 @@ def cnot_image(block, configs):
 def apply_logical_cnot(state, block):
     """Dressed transversal CNOT (control qubit A, target qubit B)."""
     psi = _check_state(state, block.dimension)
-    configs = np.flatnonzero(psi)
+    configs = np.flatnonzero(psi != 0)
     out = np.zeros_like(psi)
     out[cnot_image(block, configs)] = psi[configs]
     return out

@@ -50,6 +50,16 @@ def commutes_with_toggle(matrix, xor_mask, dim):
     return diff.nnz == 0
 
 
+def sectors_accept(matrix, toggles):
+    """Whether _Sectors accepts the toggles; it raises ValueError for one matrix breaks."""
+    try:
+        dyn._Sectors(matrix, toggles)
+    except ValueError as err:
+        assert "does not commute" in str(err)
+        return False
+    return True
+
+
 def stripe_config(L):
     cfg = 0
     for y in range(L):
@@ -124,13 +134,13 @@ def test_perturbation_symmetry_classes(lat, kind):
 
 @pytest.mark.parametrize("kind", dyn.PERTURBATION_KINDS)
 def test_diagonal_symmetry_check_agrees_with_conjugation(lat, kind):
-    # build_perturbation's one check, _commutes, runs on every kind's
-    # unit-strength matrix, diagonal or not; it must agree with the oracle
+    # the propagator's one check, in _Sectors, must agree with the oracle on
+    # every kind's unit-strength matrix, diagonal or not
     matrix = dyn.build_perturbation(lat, kind, 1.0, seed=7).matrix
     for mask in (lat.mask_a, lat.mask_b):
         by_conjugation = commutes_with_toggle(matrix, mask, matrix.shape[0])
         assert by_conjugation == kind.startswith("sym_")
-        assert dyn._commutes(matrix, mask) == by_conjugation
+        assert sectors_accept(matrix, (mask,)) == by_conjugation
 
 
 @pytest.mark.parametrize("build", (dyn.build_heff, dyn.build_hczp, dyn.build_czp_strong))
@@ -138,18 +148,20 @@ def test_symmetry_check_agrees_with_conjugation_on_the_hamiltonians(lat, build):
     matrix = build(lat, h=0.3).matrix
     for mask in (lat.mask_a, lat.mask_b):
         assert commutes_with_toggle(matrix, mask, matrix.shape[0])
-        assert dyn._commutes(matrix, mask)
+        assert sectors_accept(matrix, (mask,))
     # flipping site 0 alone breaks the flip constraints or the plaquette energy
-    assert not dyn._commutes(matrix, 1)
+    assert not sectors_accept(matrix, (1,))
     assert not commutes_with_toggle(matrix, 1, matrix.shape[0])
 
 
 @pytest.mark.parametrize(
     "kind", ("sym_zz_nnn", "break_longitudinal_random", "break_zz_nn", "sym_transverse"))
-def test_symmetry_check_rejects_one_changed_diagonal_entry(lat, kind, monkeypatch):
+def test_symmetry_check_rejects_one_changed_diagonal_entry(lat, heff, random_state, kind,
+                                                         monkeypatch):
     # entry 0 of the diagonal, raised where it becomes a matrix, breaks the
     # symmetry of a diagonal kind; for the transverse field, one weight of
-    # the unconstrained move graph changes
+    # the unconstrained move graph changes.  A sym_ kind still records both
+    # toggles, and the propagator's check rejects them
     diags, move_graph = dyn.sp.diags, dyn.move_graph
 
     def changed(diag, **kwargs):
@@ -165,11 +177,15 @@ def test_symmetry_check_rejects_one_changed_diagonal_entry(lat, kind, monkeypatc
 
     monkeypatch.setattr(dyn.sp, "diags", changed)
     monkeypatch.setattr(dyn, "move_graph", changed_weight)
+    op = dyn.build_perturbation(lat, kind, 0.05, seed=7)
     if kind.startswith("sym_"):
-        with pytest.raises(AssertionError):
-            dyn.build_perturbation(lat, kind, 0.05, seed=7)
+        assert op.toggles == (lat.mask_a, lat.mask_b)
+        with pytest.raises(ValueError, match="does not commute"):
+            dyn._Sectors(op.matrix, op.toggles)
+        with pytest.raises(ValueError, match="does not commute"):
+            dyn.evolve(random_state, heff + op, 1.0)
     else:
-        assert dyn.build_perturbation(lat, kind, 0.05, seed=7).toggles == ()
+        assert op.toggles == ()
 
 
 def diagonal_by_sites(lat, kind, seed):
@@ -213,22 +229,34 @@ def test_symmetry_check_on_other_flip_graphs(lat):
     for matrix, symmetric in ((dyn.move_graph(lat), True), (weighted, True), (changed, False)):
         for mask in (lat.mask_a, lat.mask_b):
             assert commutes_with_toggle(matrix, mask, dim) == symmetric
-            assert dyn._commutes(matrix, mask) == symmetric
+            assert sectors_accept(matrix, (mask,)) == symmetric
 
 
 def test_symmetry_check_compares_rows_not_only_entries():
     # conjugating [[1, 1], [0, 0]] by x -> x ^ 1 moves both entries to row 1,
     # where sorted they read as row 0 did: only the row lengths tell them apart
     matrix = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
-    assert not dyn._commutes(matrix, 1)
-    assert dyn._commutes(sp.csr_matrix(np.ones((2, 2))), 1)
+    assert not sectors_accept(matrix, (1,))
+    assert not commutes_with_toggle(matrix, 1, 2)
+    assert sectors_accept(sp.csr_matrix(np.ones((2, 2))), (1,))
+    # the stored column order does not matter: row 0 holds columns 1, 0
+    unsorted = sp.csr_matrix((np.ones(4), np.array([1, 0, 0, 1]), np.array([0, 2, 4])),
+                             shape=(2, 2))
+    assert sectors_accept(unsorted, (1,))
+    # representatives 0 and 2: rows 1 and 3 conjugated hold columns 1 and 3
+    # with data 1, 1, as rows 0 and 2 do, but split 2 + 0 against 1 + 1
+    matrix = sp.csr_matrix(np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0],
+                                     [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]]))
+    assert not sectors_accept(matrix, (1,))
+    assert not commutes_with_toggle(matrix, 1, 4)
 
 
 @pytest.mark.parametrize("kind", dyn.PERTURBATION_KINDS)
 def test_perturbation_at_zero_lambda(lat, kind):
-    # the symmetry self-check runs at unit strength, so lam = 0 is legal
+    # lam = 0 is legal, and a sym_ kind's zero matrix still passes the sector check
     op = dyn.build_perturbation(lat, kind, 0.0, seed=7)
     assert not np.any(op.matrix.data)
+    assert sectors_accept(op.matrix, op.toggles)
 
 
 def test_czp_strong_is_heff_plus_plaquette_energy(lat):
@@ -798,6 +826,39 @@ def test_sectors_logical_state_full_output_against_expm_multiply(lat, blocks):
     # the default probe lives in two of the four sectors
     _, counters = propagate(op, enc.logical_state(blocks[3], dyn.DEFAULT_PROBE), [2.0])
     assert counters.rows_per_order == (1 << 16) // 2
+
+
+def test_a_false_toggle_is_rejected_where_the_sectors_are_built(lat, blocks):
+    # hczp + break_longitudinal_random with both toggles recorded by hand:
+    # trusted, this state at t = 3 came out 1.43 (2-norm) from expm_multiply
+    # while error_bound read 5.6e-11
+    sym = dyn.build_hczp(lat) + dyn.build_perturbation(lat, "break_longitudinal_random", 0.3)
+    op = dyn.SparseOperator(sym.matrix, toggles=(lat.mask_a, lat.mask_b))
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi0 = enc.logical_state(blocks[0], amps / np.linalg.norm(amps))
+    with pytest.raises(ValueError, match="does not commute"):
+        dyn.evolve(psi0, op, 3.0)
+    with pytest.raises(ValueError, match="does not commute"):
+        dyn.coherence_experiment(blocks[0], op, [0.0, 3.0], initial=psi0)
+
+
+def test_symmetry_check_reads_the_rows_of_the_product_toggle(lat, heff, random_state):
+    # a symmetric edit on two rows whose group element is mask_a ^ mask_b:
+    # checking the two generators alone never reads those rows
+    g = lat.mask_a ^ lat.mask_b
+    group = (0, lat.mask_a, lat.mask_b, g)
+    x, y = g, 3 ^ g
+    for row in (x, y):
+        assert min(row ^ h for h in group) == row ^ g
+    assert heff.matrix[x, y] == 0.0
+    edit = sp.csr_matrix(([1.0, 1.0], ([x, y], [y, x])), shape=heff.matrix.shape)
+    op = dyn.SparseOperator((heff.matrix + edit).tocsr(), toggles=heff.toggles)
+    assert not commutes_with_toggle(op.matrix, lat.mask_a, op.matrix.shape[0])
+    with pytest.raises(ValueError, match="does not commute"):
+        dyn._Sectors(op.matrix, op.toggles)
+    with pytest.raises(ValueError, match="does not commute"):
+        dyn.evolve(random_state, op, 1.0)
 
 
 def test_operator_without_toggles_against_expm_multiply(lat, heff, random_state):

@@ -330,6 +330,13 @@ def test_sector_of_rejects_out_of_range_configs(lat, cfg):
         fr.sector_of(cfg, lat)
 
 
+@pytest.mark.parametrize("cfg", [1.5, np.float64(2.0)])
+def test_sector_of_rejects_non_integer_configs(lat, cfg):
+    # int() would truncate 1.5 to configuration 1 and answer for it
+    with pytest.raises(ValueError):
+        fr.sector_of(cfg, lat)
+
+
 def test_sector_of_matches_scalar_bfs_at_L6():
     # 36 sites: the frontier search runs on uint64 configurations
     big = build_lattice(6)
