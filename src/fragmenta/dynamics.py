@@ -55,13 +55,18 @@ sums over it.  Each nonempty sector component is factored as z w, z its
 largest entry; a logical state has one amplitude per sector, so w is real
 and the sector runs one real recursion, where the whole space would run two
 (Re and Im psi).  A w with an imaginary part runs two.  With no toggles
-there is one sector, the whole space.  One recursion serves a whole time
-grid.  Its order is the smallest K whose Bessel tail |psi| sum_{k>=K}
-2|J_k(at)| is at most tol at every requested time, so tol bounds the global
-2-norm error at each time, not a per-step local error; the sector errors are
-orthogonal, so together they stay within that bound.  The J_k come from
-Miller's downward recurrence, rescaled at every step so that it cannot
-under- or overflow.
+there is one sector, the whole space.  A sector whose component is v_r e_r,
+one orbit state, with r its only recorded row (a logical state recorded on
+its block) needs only v_r <e_r|exp(-iHt)|e_r>: its series takes the moments
+mu_k = <e_r|T_k|e_r>, two per mat-vec (Weisse, Wellein, Alvermann and
+Fehske, Rev. Mod. Phys. 78, 275 (2006)), so its recursion stops at order
+K/2.  Other sectors record their rows: with no toggles, for a state off the
+block, and in evolve.  One recursion serves a whole time grid.  Its order
+is the smallest K whose Bessel tail |psi| sum_{k>=K} 2|J_k(at)| is at most
+tol at every requested time, so tol bounds the global 2-norm error at each
+time, not a per-step local error; the sector errors are orthogonal, so
+together they stay within that bound.  The J_k come from Miller's downward
+recurrence, rescaled at every step so that it cannot under- or overflow.
 
 The interval bounds are taken in the trivial sector of |O|, whose entries
 are those of |O| summed over each orbit.  A positive vector constant on
@@ -73,6 +78,7 @@ computed at 1/|G| of the size.
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 import scipy.sparse as sp
@@ -388,7 +394,8 @@ class PropagatorCounters:
     probe_dim: int         # size of psi0's support on the exact path; 0 on the recursion
     error_bound: float     # a-priori 2-norm error bound at every time; 0.0 on the exact path
     half_width: float      # half-width of the recursion's interval; 0.0 on the exact path
-    rows_per_order: int    # sector dimension x real parts, summed over the recursions run
+    rows_per_order: int    # rows multiplied per order of the expansion, summed over the sectors:
+    #                        dimension x real parts, half the dimension on the moment path
 
 
 def _propagate(op, psi0, times, tol, rows):
@@ -413,7 +420,7 @@ def _propagate(op, psi0, times, tol, rows):
         values[:, on] = np.exp(-1j * np.outer(times, d)) * psi0[S]
         return values, PropagatorCounters(0, len(S), 0.0, 0.0, 0)
 
-    norm = float(np.linalg.norm(psi0))
+    norm = float(np.linalg.norm(psi0[S]))  # on the support: no threaded BLAS call on 2^16 entries
     sectors = _Sectors(H, op.toggles)
     c, a = _spectral_interval(sectors)
     coef, bound = _chebyshev_coefficients(a * times, tol / norm)
@@ -423,6 +430,18 @@ def _propagate(op, psi0, times, tol, rows):
     rows_per_order = 0
     for q, v in enumerate(amps):
         if not np.any(v):
+            continue
+        if len(need) == 1 and np.array_equal(np.flatnonzero(v), need):
+            # the moment path (module docstring), u_k = T_k e_r and mu_0 = <u_0,u_0> = 1:
+            # mu_2k = 2<u_k,u_k> - mu_0 and mu_2k+1 = 2<u_k+1,u_k> - mu_1
+            terms = _chebyshev_terms(sectors.block(q), c, a, [np.eye(1, len(v), need[0])[0]],
+                                     len(coef) // 2 + 1)
+            dots = [1.0]  # <u_j,u_i> for (j, i) = (0, 0), (1, 0), (1, 1), (2, 1), (2, 2), ...
+            for (u,), (w,) in pairwise(terms):
+                dots += [np.einsum("i,i", w, u), np.einsum("i,i", w, w)]
+            mu = 2.0 * np.array(dots[:len(coef)]) - np.resize(dots[:2], len(coef))
+            recorded[q, :, 0] = v[need[0]] * np.einsum("kt,k->t", coef, mu)
+            rows_per_order += len(v) // 2
             continue
         # v = scale * w / conj(z), z the largest entry of v / scale; w's
         # parts are separate real products, so w.imag is exactly 0 when v is
@@ -504,7 +523,8 @@ def coherence_experiment(block, op, times, tol=1e-10, initial=None):
     +1 eigenstate of the logical X_A coherence probe.  One propagation
     serves the whole grid: it records the amplitudes on the block members
     and on the support of the initial state, and tol bounds the 2-norm
-    error of the state at every grid point.
+    error of the state at every grid point.  A logical state under both
+    toggles takes the moment path (module docstring): half the mat-vecs.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:

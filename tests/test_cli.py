@@ -414,9 +414,10 @@ def test_evolve_counters_identical_bytes(capsys):
     assert report["chebyshev_order"] > 0
     assert report["probe_dim"] == 0
     assert report["half_width"] > 0.0
-    # the default probe lives in two of the four sublattice-toggle sectors,
-    # each with one real part of 2^16 / 4 rows
-    assert report["rows_per_order"] == 32768
+    # the default probe lives in two of the four sublattice-toggle sectors of
+    # 2^16 / 4 rows; each is one orbit state whose return amplitude comes from
+    # moments, two per mat-vec: half its rows per order
+    assert report["rows_per_order"] == 16384
     assert list(report).index("rows_per_order") == list(report).index("half_width") + 1
     assert 0.0 < report["error_bound"] <= report["tol"]
     # a diagonal perturbation keeps the probe's two states eigenstates:

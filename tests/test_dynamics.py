@@ -828,6 +828,75 @@ def test_sectors_logical_state_full_output_against_expm_multiply(lat, blocks):
     assert counters.rows_per_order == (1 << 16) // 2
 
 
+@pytest.mark.parametrize("build", [dyn.build_heff, dyn.build_czp_strong],
+                         ids=["heff", "czp_strong"])
+def test_moment_path_on_every_block_against_expm_multiply(lat, blocks, build):
+    # recorded on its orbit alone, as coherence_experiment records it, a
+    # logical state is one orbit state in each of the four sectors: its
+    # amplitudes are return amplitudes from moments, two per mat-vec, so each
+    # sector multiplies half its 2^16 / 4 rows per order
+    op = build(lat) + dyn.build_perturbation(lat, "sym_transverse", 0.05)
+    matrix = op.matrix.astype(complex)
+    rng = np.random.default_rng(12)
+    for block in blocks:
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi0 = enc.logical_state(block, amps / np.linalg.norm(amps))
+        rows = np.sort(block.members)
+        values, counters = dyn._propagate(op, psi0, [0.5], 1e-10, rows)
+        assert counters.rows_per_order == (1 << lat.n_sites) // 2
+        assert np.abs(values[0] - expm_multiply(-0.5j * matrix, psi0)[rows]).max() <= 1e-9
+
+
+def test_moment_path_at_thousands_of_orders_against_expm_multiply(lat, blocks):
+    # czp_strong + sym_transverse kept on the 548 configurations within Hamming
+    # distance 2 of block 0's orbit: the toggles map that ball to itself, so
+    # the operator still commutes with them, and expm_multiply runs on the
+    # ball alone, cheaply at t = 1,000 (8,352 orders)
+    block = blocks[0]
+    configs = np.arange(1 << lat.n_sites)
+    ball = np.min(np.bitwise_count(configs[:, None] ^ np.array(block.members)), axis=1) <= 2
+    full = dyn.build_czp_strong(lat) + dyn.build_perturbation(lat, "sym_transverse", 0.3)
+    keep = sp.diags(ball.astype(float), format="csr")
+    op = dyn.SparseOperator((keep @ full.matrix @ keep).tocsr(), toggles=full.toggles)
+    rng = np.random.default_rng(13)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi0 = enc.logical_state(block, amps / np.linalg.norm(amps))
+    rows = np.sort(block.members)
+    values, counters = dyn._propagate(op, psi0, [1000.0], 1e-10, rows)
+    assert counters.chebyshev_order > 8000
+    assert counters.rows_per_order == (1 << lat.n_sites) // 2
+    inside = np.flatnonzero(ball)
+    small = full.matrix[inside][:, inside].astype(complex)
+    reference = expm_multiply(-1000j * small, psi0[inside])
+    assert np.abs(values[0] - reference[np.searchsorted(inside, rows)]).max() <= 1e-9
+
+
+def test_a_basis_state_outside_the_block_keeps_the_recording_path(lat, blocks, heff):
+    # a single flip off the orbit is one orbit state per sector too, but the
+    # block's orbit is recorded as well: two rows per sector, which only the
+    # recording gives, one real part of 2^16 / 4 rows in each of four sectors
+    block = blocks[0]
+    op = heff + dyn.build_perturbation(lat, "sym_transverse", 0.05)
+    psi0 = np.zeros(1 << lat.n_sites, dtype=complex)
+    psi0[block.members[0] ^ 1] = 1.0
+    series = dyn.coherence_experiment(block, op, np.linspace(0.0, 1.0, 3), initial=psi0)
+    assert series.counters.rows_per_order == 1 << lat.n_sites
+    assert series.population[-1] > 1e-4  # the block does get populated
+    _series_against_expm_multiply(block, op, psi0, 1.0, 3, series)
+
+
+def test_an_operator_without_toggles_keeps_the_recording_path(lat, blocks):
+    # hczp + break_longitudinal_random records no toggles: one sector, in
+    # which the block's four members are four rows to record
+    block = blocks[0]
+    op = dyn.build_hczp(lat) + dyn.build_perturbation(lat, "break_longitudinal_random", 0.05)
+    assert op.toggles == ()
+    series = dyn.coherence_experiment(block, op, np.linspace(0.0, 1.0, 3))
+    assert series.counters.rows_per_order == 1 << lat.n_sites
+    psi0 = enc.logical_state(block, dyn.DEFAULT_PROBE)
+    _series_against_expm_multiply(block, op, psi0, 1.0, 3, series)
+
+
 def test_a_false_toggle_is_rejected_where_the_sectors_are_built(lat, blocks):
     # hczp + break_longitudinal_random with both toggles recorded by hand:
     # trusted, this state at t = 3 came out 1.43 (2-norm) from expm_multiply
