@@ -2,12 +2,13 @@
 
 Reports are JSON on stdout (or --out); gates-demo emits one JSON line per
 gate report.  All randomness flows from --seed, and identical invocations
-produce byte-identical output: numpy scalars are converted to plain Python
-values and floats serialize via their exact shortest round-trip
-representation (up to 17 significant digits).  Exit codes: 0 success,
-1 acceptance failure, 2 usage error; input the library rejects (ValueError
-or IndexError, such as an L outside [4, 8] for a lattice) and an unwritable
---out or --csv path (OSError) also exit 2, with one JSON error line on stderr.
+produce byte-identical output: numpy values become plain Python values,
+complex numbers [re, im] pairs, and floats serialize via their exact
+shortest round-trip representation (up to 17 significant digits).  Exit
+codes: 0 success, 1 acceptance failure, 2 usage error; input the library
+rejects (ValueError or IndexError, such as an L outside [4, 8] for a
+lattice) and an unwritable --out or --csv path (OSError) also exit 2, with
+one JSON error line on stderr.
 """
 
 import argparse
@@ -27,23 +28,15 @@ from . import syndrome as syn
 from .lattice import build_lattice
 
 
-def _canonical(obj):
-    """Recursively convert numpy containers/scalars to plain JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
+def _jsonable(obj):
+    """json.dumps default: numpy arrays and scalars as plain values, complex as [re, im]."""
     if isinstance(obj, np.ndarray):
-        return [_canonical(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _finite_float(text):
@@ -58,7 +51,7 @@ MAX_STEPS = 100_000  # evolve's grid times; each costs about 2.5 KB of peak RSS
 
 
 def _emit(report, out):
-    _write(json.dumps(_canonical(report), indent=2) + "\n", out)
+    _write(json.dumps(report, indent=2, default=_jsonable) + "\n", out)
 
 
 def _write(text, out):
@@ -173,7 +166,7 @@ def _cmd_gates_demo(args):
         expected = None if U is None else enc.logical_state(block, U @ amps)
         report = gates.gate_report(block, args.gate, params, psi, physical(psi),
                                    expected=expected, input_label=label)
-        lines.append(json.dumps({"schema": 1, **_canonical(report.to_dict())}) + "\n")
+        lines.append(json.dumps({"schema": 1, **report.to_dict()}, default=_jsonable) + "\n")
     _write("".join(lines), args.out)
     return 0
 
@@ -209,10 +202,8 @@ def _cmd_evolve(args):
     series = dyn.coherence_experiment(block, H, times, tol=args.tol)
     rows = list(series.csv_rows())
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("t,reX,imX,population,fidelity\n")
-            for row in rows:
-                fh.write(",".join(repr(v) for v in row) + "\n")
+        _write("t,reX,imX,population,fidelity\n"
+               + "".join(",".join(repr(v) for v in row) + "\n" for row in rows), args.csv)
     report = {
         "schema": 1,
         "L": args.L,

@@ -473,8 +473,7 @@ def evolve(state, op, t, tol=1e-10):
     (_chebyshev_coefficients) raises ValueError.
     """
     t = float(t)
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    _check_finite(t=t)
     _check_tol(tol)
     psi = _check_state(state, op.matrix.shape[0])
     if t == 0:

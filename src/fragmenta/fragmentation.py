@@ -2,9 +2,10 @@
 
 The constrained dynamics allows a spin flip only when the four neighbors of
 the flipped site agree, so the move graph on packed configurations has an
-edge between cfg and cfg ^ (1<<i) exactly when flippable_sites has bit i.  Every
-move conserves every plaquette CZ eigenvalue, which is what fragments the
-configuration space into exponentially many disconnected sectors.
+edge between cfg and cfg ^ (1<<i) exactly when flippable_sites has bit i
+(single_flips lists them).  Every move conserves every plaquette CZ
+eigenvalue, which is what fragments the configuration space into
+exponentially many disconnected sectors.
 
 Three independent routes are provided and cross-checked by the tests:
 
@@ -31,8 +32,8 @@ Three independent routes are provided and cross-checked by the tests:
 The first two build the full space and stop at config.config_range's cap
 (24 sites, so L = 4; L = 6 fails at once).  sector_of explores the component
 of one configuration on a lattice up to L = 8 (64 sites): a breadth-first
-search one frontier at a time, on the frontier's flippable_sites words
-(uint32 configurations up to 32 sites, uint64 above).
+search one frontier at a time, through single_flips of the frontier's
+flippable_sites words (uint32 configurations up to 32 sites, uint64 above).
 It raises ValueError for a configuration outside [0, 2**n_sites) and
 RuntimeError once the component has more than SECTOR_SIZE_CAP states.
 """
@@ -125,6 +126,13 @@ def code_states(lat: Lattice) -> np.ndarray:
 # full decomposition: connected components of the move graph
 
 
+def single_flips(cfgs, movable, n_sites):
+    """(sources, targets) of every flip the movable words allow, site by site, in cfgs' dtype."""
+    sources = [cfgs[(movable >> i) & 1 == 1] for i in range(n_sites)]
+    targets = [src ^ cfgs.dtype.type(1 << i) for i, src in enumerate(sources)]
+    return np.concatenate(sources), np.concatenate(targets)
+
+
 def move_graph(lat: Lattice, constrained=True) -> sp.csr_matrix:
     """Unit-weight CSR adjacency of single flips on the packed basis.
 
@@ -135,11 +143,8 @@ def move_graph(lat: Lattice, constrained=True) -> sp.csr_matrix:
     """
     cfgs = cfgmod.config_range(lat.n_sites)
     movable = cfgmod.flippable_sites(cfgs, lat) if constrained else ~np.zeros_like(cfgs)
-    sources = [cfgs[(movable >> i) & 1 == 1] for i in range(lat.n_sites)]
     # int32 views, not int64 copies: config_range keeps every value below 2^24
-    rows = np.concatenate(sources).view(np.int32)
-    flipped = [src ^ np.uint32(1 << i) for i, src in enumerate(sources)]
-    cols = np.concatenate(flipped).view(np.int32)
+    rows, cols = (a.view(np.int32) for a in single_flips(cfgs, movable, lat.n_sites))
     dim = len(cfgs)
     return sp.csr_matrix(
         (np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(dim, dim)
@@ -189,10 +194,10 @@ def krylov_decompose(lat: Lattice):
 def sector_of(cfg, lat):
     """Breadth-first search of one configuration's component, a frontier at a time.
 
-    Each level flips site i in the frontier configurations whose
-    flippable_sites word has bit i set.  seen stays sorted: each level sorts
-    its flips, drops repeats and known states with one searchsorted against
-    seen and inserts the rest in place; the rest form the next frontier.
+    Each level takes single_flips of the frontier's flippable_sites words.
+    seen stays sorted: each level sorts its flips, drops repeats and known
+    states with one searchsorted against seen and inserts the rest in place;
+    the rest form the next frontier.
     Raises RuntimeError once the component has more than SECTOR_SIZE_CAP
     states, and ValueError for a configuration that is not an integer.
     """
@@ -204,10 +209,8 @@ def sector_of(cfg, lat):
     dtype = np.uint32 if lat.n_sites <= 32 else np.uint64
     seen = frontier = np.array([cfg], dtype=dtype)
     while len(frontier):
-        movable = cfgmod.flippable_sites(frontier, lat)
-        flipped = np.sort(np.concatenate([
-            frontier[(movable >> i) & 1 == 1] ^ dtype(1 << i) for i in range(lat.n_sites)
-        ]))
+        _, flipped = single_flips(frontier, cfgmod.flippable_sites(frontier, lat), lat.n_sites)
+        flipped = np.sort(flipped)
         pos = np.searchsorted(seen, flipped)
         new = seen[pos.clip(max=len(seen) - 1)] != flipped
         new[1:] &= flipped[1:] != flipped[:-1]

@@ -141,9 +141,7 @@ class GateReport:
             "tomography_out": self.tomography_out,
             "leakage": self.leakage,
             "fidelity": self.fidelity,
-            "global_phase": None
-            if self.global_phase is None
-            else [self.global_phase.real, self.global_phase.imag],
+            "global_phase": self.global_phase,
         }
 
 
@@ -152,9 +150,10 @@ def gate_report(block, gate_name, params, state_in, state_out,
     """Wrap a gate application with before/after tomography.
 
     leakage is 1 - block population of the output.  When an expected output
-    state is supplied, fidelity = |<expected|out>| and the measured global
-    phase <expected|out> / |<expected|out>| is reported rather than
-    discarded, so exact phase factors stay checkable.
+    state is supplied, fidelity = |<expected|out>| (summed over the expected
+    state's support) and the measured global phase
+    <expected|out> / |<expected|out>| is reported rather than discarded, so
+    exact phase factors stay checkable.
     """
     tom_in = logical_tomography(state_in, block)
     tom_out = logical_tomography(state_out, block)
@@ -162,7 +161,8 @@ def gate_report(block, gate_name, params, state_in, state_out,
     fidelity = None
     phase = None
     if expected is not None:
-        overlap = complex(np.vdot(expected, state_out))
+        support = np.flatnonzero(expected != 0)
+        overlap = complex(np.vdot(expected[support], state_out[support]))
         fidelity = abs(overlap)
         if fidelity > 1e-15:
             phase = overlap / fidelity

@@ -7,7 +7,7 @@ import pytest
 
 from fragmenta import encoding as enc
 from fragmenta import selftest
-from fragmenta.cli import MAX_STEPS, main
+from fragmenta.cli import MAX_STEPS, _jsonable, main
 from fragmenta.lattice import build_lattice
 
 
@@ -345,6 +345,32 @@ def test_gates_demo_matches_float_golden(capsys, gate):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert_matches_golden(json.loads(g), json.loads(w))
+
+
+# the float reports no other golden pins: every report the writer serves is covered
+REPORT_RUNS = {
+    "selftest_seed7": ("selftest", "--seed", "7"),
+    "syndrome_demo_L4": ("syndrome-demo",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_RUNS))
+def test_report_matches_float_golden(capsys, name):
+    code, out = run_cli(capsys, *REPORT_RUNS[name])
+    assert code == 0
+    assert_matches_golden(json.loads(out), json.loads((GOLDEN / f"{name}.json").read_text()))
+
+
+def test_json_hook_writes_numpy_and_complex_values():
+    import numpy as np
+
+    report = {"count": np.int64(3), "passed": np.bool_(True), "x": np.float32(0.1),
+              "phase": 1 - 2j, "amps": np.array([0.5j, 2 + 0j]), "none": None}
+    assert json.dumps(report, default=_jsonable) == (
+        '{"count": 3, "passed": true, "x": 0.10000000149011612, "phase": [1.0, -2.0], '
+        '"amps": [[0.0, 0.5], [2.0, 0.0]], "none": null}')
+    with pytest.raises(TypeError):
+        json.dumps({"sites": {1, 2}}, default=_jsonable)
 
 
 EVOLVE_RUNS = {

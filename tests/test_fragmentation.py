@@ -398,6 +398,32 @@ def test_move_graph_rows_match_scalar_predicate(lat):
         assert set(row) == expected
 
 
+@pytest.mark.parametrize("L", (4, 6))
+def test_single_flips_match_the_scalar_rule(L):
+    # every configuration at L = 4 (uint32); uint64 samples at L = 6, with bit 35
+    lat = build_lattice(L)
+    n = lat.n_sites
+    if L == 4:
+        cfgs = cm.config_range(n)
+    else:
+        rng = np.random.default_rng(11)
+        samples = rng.integers(0, 1 << n, size=200, dtype=np.uint64)
+        top = np.uint64(1 << (n - 1))
+        ends = np.array([top, (1 << n) - 1], dtype=np.uint64)
+        cfgs = np.unique(np.concatenate([samples, samples | top, ends]))
+    members = cfgs.tolist()
+    everything = ~np.zeros_like(cfgs)  # the all-ones word: the unconstrained graph
+    for movable, legal in ((cm.flippable_sites(cfgs, lat), lambda c, i: cm.is_flippable(c, lat, i)),
+                           (everything, lambda c, i: True)):
+        sources, targets = fr.single_flips(cfgs, movable, n)
+        assert sources.dtype == targets.dtype == cfgs.dtype
+        flips = (sources ^ targets).tolist()
+        assert all(f.bit_count() == 1 for f in flips)
+        got = list(zip(sources.tolist(), (f.bit_length() - 1 for f in flips)))
+        # site by site, each legal (configuration, site) pair exactly once
+        assert got == [(c, i) for i in range(n) for c in members if legal(c, i)]
+
+
 def test_unconstrained_move_graph_rows_flip_every_site(lat):
     adj = fr.move_graph(lat, constrained=False)
     assert (adj != adj.T).nnz == 0
