@@ -41,39 +41,41 @@ off-diagonal parts of H, taken with a shift that keeps the diagonal at
 least 1 (so rows with no off-diagonal entry stay finite) and clipped to
 Gershgorin's interval.  The Bessel tail below is computed on that a.
 
-The recursion runs in the symmetry sectors of the XOR toggles the operator
-records (SparseOperator.toggles: the builders record both sublattice toggles
-where H commutes with them, and a sum keeps the toggles both terms share).
-No recorded toggle is trusted: _Sectors checks that H commutes with every
-element of their group before it builds a sector, and raises ValueError if
-not; the exact path reads no toggles.  The toggles generate a group G, and H
-is block diagonal over its sectors: sector q is spanned by one orbit state
-|G|^(-1/2) sum_g chi_q(g) |r ^ g> per orbit representative r, so each block
-is 2^N / |G| wide.  The table chi_q(g), _Sectors.chars, is the only
-description of the sectors: psi is projected on them, and reassembled, by
-sums over it.  Each nonempty sector component is factored as z w, z its
-largest entry; a logical state has one amplitude per sector, so w is real
-and the sector runs one real recursion, where the whole space would run two
-(Re and Im psi).  A w with an imaginary part runs two.  With no toggles
-there is one sector, the whole space.  A sector whose component is v_r e_r,
-one orbit state, with r its only recorded row (a logical state recorded on
-its block) needs only v_r <e_r|exp(-iHt)|e_r>: its series takes the moments
-mu_k = <e_r|T_k|e_r>, two per mat-vec (Weisse, Wellein, Alvermann and
-Fehske, Rev. Mod. Phys. 78, 275 (2006)), so its recursion stops at order
-K/2.  Other sectors record their rows: with no toggles, for a state off the
-block, and in evolve.  One recursion serves a whole time grid.  Its order
-is the smallest K whose Bessel tail |psi| sum_{k>=K} 2|J_k(at)| is at most
-tol at every requested time, so tol bounds the global 2-norm error at each
-time, not a per-step local error; the sector errors are orthogonal, so
-together they stay within that bound.  The J_k come from Miller's downward
-recurrence, rescaled at every step so that it cannot under- or overflow.
+The recursion runs in the symmetry sectors of a permutation group G.  The
+builders record both sublattice XOR toggles and the L^2 / 2 translations
+(dx, dy), dx + dy even, where H commutes with them; a sum keeps what both
+terms record.  K holds the x -> T(x) ^ g (T a recorded translation, g a
+toggle) that fix each configuration of psi0's support, so psi(t) is
+K-invariant (for a logical state, 2, 4 or 8 translations), and G is the
+toggle group times K.  No recorded symmetry is trusted: _Sectors checks that
+H commutes with every element of G, ValueError if not; the exact path reads
+none.  psi0 occupies the sectors trivial on K, one per +-1 character chi_q
+of the toggles: sector q has one orbit state |O_r|^(-1/2) sum_x chi_q(e_x)
+|x>, x = e_x(r), per orbit whose stabilizer has chi_q = 1 (else the sum
+vanishes), so a block is about 2^N / |G| wide; psi is projected on the
+sectors, and reassembled, by sums over chi_q and the norms |O_r|^(1/2).
+Each nonempty sector component is factored as z w, z its largest entry; a
+logical state has one amplitude per sector, so w is real and the sector runs
+one real recursion, where the whole space would run two (Re and Im psi).  A
+w with an imaginary part runs two.  A sector whose component is v_r e_r, one
+orbit state, with r its only recorded row (a logical state recorded on its
+block: its four members share one representative) needs only v_r
+<e_r|exp(-iHt)|e_r>: its series takes the moments mu_k = <e_r|T_k|e_r>, two
+per mat-vec (Weisse, Wellein, Alvermann and Fehske, Rev. Mod. Phys. 78, 275
+(2006)), so its recursion stops at order K/2.  Other sectors record their
+rows: with no symmetry, for a state off the block, and in evolve.  One
+recursion serves a whole time grid.  Its order is the smallest K whose
+Bessel tail |psi| sum_{k>=K} 2|J_k(at)| is at most tol at every requested
+time, so tol bounds the global 2-norm error at each time, not a per-step
+local error; the sector errors are orthogonal, so together they stay within
+that bound.  The J_k come from Miller's downward recurrence, rescaled at
+every step so that it cannot under- or overflow.
 
-The interval bounds are taken in the trivial sector of |O|, whose entries
-are those of |O| summed over each orbit.  A positive vector constant on
-orbits stays one under +-D + |O|, which commutes with the toggles too, and
-its Collatz-Wielandt ratios and Gershgorin row sums are those of the
-trivial-sector restriction, so the interval is the full space's bound,
-computed at 1/|G| of the size.
+The interval bounds are taken in the trivial sector of |O|, summed over each
+orbit with no norms.  A positive vector constant on orbits stays one under
++-D + |O|, which commutes with G too (any permutation group serves), so its
+Collatz-Wielandt ratios and Gershgorin row sums are those of that summed
+restriction: the interval is the full space's bound, at ~1/|G| of the size.
 """
 
 import math
@@ -104,22 +106,36 @@ _BESSEL_BUDGET = 2 ** 27  # orders x times the Bessel table may span (3 a t + 10
 class SparseOperator:
     """CSR operator on the packed basis.
 
-    toggles are XOR masks the operator commutes with; the propagator works
-    in their symmetry sectors.  The builders record them by construction:
-    both sublattice toggles for the flip graphs, the plaquette energy and
-    the sym_ perturbations, none for the break_ ones.  _Sectors verifies
-    them, on every propagation that runs the recursion.
+    toggles (XOR masks) and translations ((dx, dy) shifts of the torus) are
+    symmetries of the operator, verified by _Sectors wherever the recursion
+    runs in their sectors (module docstring).  The builders record both
+    toggles and the L^2 / 2 translations with dx + dy even for the flip
+    graphs, the plaquette energy and the sym_ kinds, none for the break_ ones.
     """
 
     matrix: sp.csr_matrix
     toggles: tuple = ()
+    translations: tuple = ()
 
     def apply(self, vec):
         return self.matrix @ vec
 
     def __add__(self, other):
-        shared = tuple(m for m in self.toggles if m in other.toggles)
-        return SparseOperator(matrix=(self.matrix + other.matrix).tocsr(), toggles=shared)
+        shared = (tuple(x for x in mine if x in theirs) for mine, theirs in
+                  ((self.toggles, other.toggles), (self.translations, other.translations)))
+        return SparseOperator((self.matrix + other.matrix).tocsr(), *shared)
+
+
+def _symmetric(matrix, lat):
+    """matrix recording both sublattice toggles and the translations that keep them."""
+    shifts = tuple((dx, dy) for dy in range(lat.L) for dx in range(lat.L) if (dx + dy) % 2 == 0)
+    return SparseOperator(matrix, (lat.mask_a, lat.mask_b), shifts)
+
+
+def _translate(w, L, dx, dy):
+    """w moved on the L x L torus: bit (x, y) from bit (x + dx, y + dy); zero shifts skipped."""
+    w = cfgmod._rot(w, L * L, L * dy) if dy else w  # (0, 0) keeps w on any basis, in any dtype
+    return cfgmod._row_rot(w, L, dx) if dx else w
 
 
 def build_heff(lat, h=1.0):
@@ -127,7 +143,7 @@ def build_heff(lat, h=1.0):
     _check_finite(h=h)
     matrix = move_graph(lat)
     matrix.data *= -h  # in place: a scaled copy (-h * graph) doubled later page faults
-    return SparseOperator(matrix=matrix, toggles=(lat.mask_a, lat.mask_b))
+    return _symmetric(matrix, lat)
 
 
 def _plaquette_model(lat, J, h, constrained):
@@ -140,7 +156,7 @@ def _plaquette_model(lat, J, h, constrained):
     flips = move_graph(lat, constrained)
     flips.data *= -h  # in place, as in build_heff
     matrix = sp.diags(energy, format="csr") + flips
-    return SparseOperator(matrix=matrix, toggles=(lat.mask_a, lat.mask_b))
+    return _symmetric(matrix, lat)
 
 
 def build_hczp(lat, J=1.0, h=1.0):
@@ -156,8 +172,8 @@ def build_czp_strong(lat, J=1.0, h=1.0):
 def build_perturbation(lat, kind, lam, seed=0):
     """One of the four perturbation kinds, scaled by lam.
 
-    A sym_ kind records both sublattice toggles and a break_ kind none;
-    _Sectors verifies them where the propagator reads them.
+    A sym_ kind records both sublattice toggles and the translations, a
+    break_ kind neither; _Sectors verifies them where the propagator reads them.
     """
     _check_finite(lam=lam)
     if kind == "sym_transverse":
@@ -185,8 +201,7 @@ def build_perturbation(lat, kind, lam, seed=0):
         raise ValueError(f"unknown perturbation kind {kind!r}")
 
     matrix.data *= lam
-    toggles = (lat.mask_a, lat.mask_b) if kind.startswith("sym_") else ()
-    return SparseOperator(matrix=matrix, toggles=toggles)
+    return _symmetric(matrix, lat) if kind.startswith("sym_") else SparseOperator(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -199,64 +214,85 @@ def _check_tol(tol):
 
 
 class _Sectors:
-    """An operator in the symmetry-adapted basis of XOR toggles it commutes with.
+    """An operator in the symmetry-adapted basis of G (module docstring).
 
-    The toggles generate a group G of XOR masks g_s, s a bit pattern over an
-    independent subset of them.  XOR acts freely, so every configuration is
-    x = r ^ g_s for exactly one orbit representative r (the orbit minimum)
-    and one s.  Sector q has the orthonormal states
-    |r; q> = |G|^(-1/2) sum_s chi_q(s) |r ^ g_s>, chi_q(s) = (-1)^popcount(q & s),
-    and H, which commutes with G, maps each sector to itself with
-    <r'; q|H|r; q> = sum_s chi_q(s) H[r', r ^ g_s]: H's row r' with every
-    entry moved to its column's representative and signed by chi_q.  With no
-    toggles there is one sector, and it is H itself.  chars alone describes
-    the sectors; _propagate sums over it by einsum (a BLAS call leaves threads spinning).
-    That H commutes with G is checked: for each g != 0, the rows r ^ g conjugated by g
-    (columns XOR-ed by g, then sorted) must have the row lengths, columns and data of the
-    rows r.  These rows are all of H, so the check is exact; ValueError if it fails.
+    group holds the toggle masks g_s, s a bit pattern, and K the (dx, dy, m)
+    with T(x) ^ g_m = x on support.  Element (T, s), x -> T(x) ^ g_s, has the
+    character chars[q, s ^ m] = (-1)^popcount(q & (s ^ m)); chi_q(e) of the
+    e with x = e(r), r the orbit minimum, is chars[q, element[x]].  norm is
+    |O_r|^(1/2), live[q] marks sector q's orbits, and the block <r'; q|H|r; q>
+    = (norm_r' / norm_r) sum_x chi_q(e_x) H[r', x] is H's row r' with each
+    entry moved to its column's representative.  Checked exactly: for each
+    e != 1, the rows r with columns mapped by e must equal the rows e(r), and
+    over all e these are all of H's rows; ValueError if not.
     """
 
-    def __init__(self, H, toggles):
+    def __init__(self, H, toggles, translations=(), support=()):
         group = [0]
         for mask in toggles:
             if mask not in group:
                 group += [g ^ mask for g in group]
         s = np.arange(len(group))
         self.chars = 1.0 - 2.0 * (np.bitwise_count(s[:, None] & s) & 1)
-        configs = np.arange(H.shape[0])
-        images = configs ^ np.array(group)[:, None]
-        self.element = images.argmin(axis=0)   # x = rep(x) ^ g_element(x)
-        rep = images[self.element, configs]
+        L = math.isqrt(H.shape[0].bit_length() - 1)
+        if translations and H.shape[0] != 1 << L * L:
+            raise ValueError(f"translations need a 2^(L^2) basis, got dimension {H.shape[0]}")
+        shifts = {(0, 0)}
+        for _ in range(L * L):  # the group: all products of up to L^2 recorded translations
+            shifts |= {((a + c) % L, (b + d) % L) for a, b in shifts for c, d in translations}
+        support, K = np.asarray(support, dtype=np.int64), []
+        for dx, dy in sorted(shifts):
+            m = int(_translate(support[0], L, dx, dy) ^ support[0]) if len(support) else 0
+            if (m in group and all(_translate(g, L, dx, dy) == g for g in group)
+                    and np.array_equal(_translate(support, L, dx, dy) ^ m, support)):
+                K.append((dx, dy, group.index(m)))
+        configs = np.arange(H.shape[0], dtype=np.uint32)  # half int64's memory traffic
+        rep, self.element = configs.copy(), np.zeros(len(configs), dtype=np.intp)
+        for dx, dy, m in K:
+            moved = _translate(configs, L, dx, dy)
+            for s, g in enumerate(group):
+                np.putmask(self.element, moved ^ g < rep, s ^ m)
+                np.minimum(rep, moved ^ g, out=rep)
         self.reps = np.flatnonzero(rep == configs)
-        self.index = np.searchsorted(self.reps, rep)   # position of rep(x) in reps
-        self.orbits = images[:, self.reps]             # r ^ g_s, shape (|G|, len(reps))
+        self.index = (np.cumsum(rep == configs) - 1)[rep]  # position of rep(x) in reps
+        self.orbits = self.reps ^ np.array(group)[:, None]  # r ^ g_s: K-invariant psi read here
         self.diagonal = H.diagonal()[self.reps]
         self.rows = H[self.reps]
-        self.rows.sort_indices()
-        for g in group[1:]:
-            image = H[self.reps ^ g]
-            conj = sp.csr_matrix((image.data, image.indices ^ g, image.indptr), shape=image.shape)
-            conj.sort_indices()
-            if not (np.array_equal(conj.indptr, self.rows.indptr)
-                    and np.array_equal(conj.indices, self.rows.indices)
-                    and np.array_equal(conj.data, self.rows.data)):
-                raise ValueError(f"the operator does not commute with toggle group element {g:#x}")
+        fixed_by, odd = np.zeros(len(self.reps)), np.zeros((len(group), len(self.reps)), bool)
+        for dx, dy, m in K:
+            moved = _translate(self.reps, L, dx, dy)
+            cols = _translate(self.rows.indices, L, dx, dy)
+            for s, g in enumerate(group):
+                fixed = (moved ^ g) == self.reps
+                fixed_by += fixed
+                odd |= fixed & (self.chars[:, s ^ m, None] < 0)
+                if not (dx or dy or s):
+                    continue
+                conj = sp.csr_matrix((self.rows.data, cols ^ g, self.rows.indptr), self.rows.shape)
+                if (conj != H[moved ^ g]).nnz:
+                    raise ValueError(f"the operator does not commute with group element "
+                                     f"x -> T({dx}, {dy}) x ^ {g:#x}")
+        self.live = ~odd
+        self.norm = np.sqrt(len(K) * len(group) / fixed_by)
+        self.row = np.repeat(np.arange(len(self.reps)), np.diff(self.rows.indptr))
+        self.col = self.index[self.rows.indices]
         self.col_element = self.element[self.rows.indices]
 
     def block(self, q):
-        """Sector q's block of H."""
-        return self._on_reps(self.rows.data * self.chars[q, self.col_element])
+        """Sector q's block of H; a dead orbit's row and column hold zeros."""
+        live, ratio = self.live[q], self.norm[self.row] / self.norm[self.col]
+        data = self.rows.data * self.chars[q, self.col_element] * ratio
+        return self._on_reps(np.where(live[self.row] & live[self.col], data, 0.0))
 
     def abs_offdiagonal(self):
-        """The trivial sector's block of |O|, O the off-diagonal part of H."""
-        owner = np.repeat(self.reps, np.diff(self.rows.indptr))
+        """The trivial sector's block of |O|, O the off-diagonal part of H, without norms."""
+        owner = self.reps[self.row]
         return self._on_reps(np.where(self.rows.indices == owner, 0.0, np.abs(self.rows.data)))
 
     def _on_reps(self, data):
         # columns come out unsorted and possibly repeated, which a mat-vec sums
         n = len(self.reps)
-        cols = self.index[self.rows.indices]
-        return sp.csr_matrix((data, cols, self.rows.indptr), shape=(n, n))
+        return sp.csr_matrix((data, self.col, self.rows.indptr), shape=(n, n))
 
 
 def _collatz_wielandt_max(absO, d):
@@ -421,11 +457,12 @@ def _propagate(op, psi0, times, tol, rows):
         return values, PropagatorCounters(0, len(S), 0.0, 0.0, 0)
 
     norm = float(np.linalg.norm(psi0[S]))  # on the support: no threaded BLAS call on 2^16 entries
-    sectors = _Sectors(H, op.toggles)
+    sectors = _Sectors(H, op.toggles, op.translations, S)
     c, a = _spectral_interval(sectors)
     coef, bound = _chebyshev_coefficients(a * times, tol / norm)
     need, pos = np.unique(sectors.index[rows], return_inverse=True)  # sector rows recorded
-    amps = np.einsum("qs,sr->qr", sectors.chars, psi0[sectors.orbits])  # |G|^(1/2) x components
+    amps = np.einsum("qs,sr,qr->qr", sectors.chars, psi0[sectors.orbits],  # len(chars) <r; q|psi0>
+                     np.where(sectors.live, sectors.norm, 0.0))
     recorded = np.zeros((len(amps), len(times), len(need)), dtype=complex)
     rows_per_order = 0
     for q, v in enumerate(amps):
@@ -441,7 +478,7 @@ def _propagate(op, psi0, times, tol, rows):
                 dots += [np.einsum("i,i", w, u), np.einsum("i,i", w, w)]
             mu = 2.0 * np.array(dots[:len(coef)]) - np.resize(dots[:2], len(coef))
             recorded[q, :, 0] = v[need[0]] * np.einsum("kt,k->t", coef, mu)
-            rows_per_order += len(v) // 2
+            rows_per_order += int(sectors.live[q].sum()) // 2
             continue
         # v = scale * w / conj(z), z the largest entry of v / scale; w's
         # parts are separate real products, so w.imag is exactly 0 when v is
@@ -454,12 +491,12 @@ def _propagate(op, psi0, times, tol, rows):
         imag = v.imag * z.real - v.real * z.imag
         if np.any(imag):
             parts.append(imag)
-        rows_per_order += len(v) * len(parts)
+        rows_per_order += int(sectors.live[q].sum()) * len(parts)
         for k, vs in enumerate(_chebyshev_terms(sectors.block(q), c, a, parts, len(coef))):
             for phase, u in zip((1.0, 1j), vs):
                 recorded[q] += np.outer(phase * coef[k], u[need])
         recorded[q] *= scale / np.conj(z)
-    values = np.einsum("qs,qtr->str", sectors.chars, recorded) / len(amps)
+    values = np.einsum("qs,qtr->str", sectors.chars, recorded / sectors.norm[need]) / len(amps)
     values = values[sectors.element[rows], :, pos].T * np.exp(-1j * c * times)[:, None]
     return values, PropagatorCounters(len(coef), 0, norm * bound, a, rows_per_order)
 

@@ -139,16 +139,18 @@ def move_graph(lat: Lattice, constrained=True) -> sp.csr_matrix:
     Row cfg holds 1.0 at column cfg ^ (1 << i) for every site i whose bit
     is set in cfg's flippable_sites word, or for every site when constrained
     is False.  The reverse flip is legal too (the neighbors of i are
-    unchanged), so the matrix is symmetric.
+    unchanged), so the matrix is symmetric.  Unconstrained, it is built in
+    canonical CSR at once: n entries a row, each row's columns sorted.
     """
     cfgs = cfgmod.config_range(lat.n_sites)
-    movable = cfgmod.flippable_sites(cfgs, lat) if constrained else ~np.zeros_like(cfgs)
-    # int32 views, not int64 copies: config_range keeps every value below 2^24
-    rows, cols = (a.view(np.int32) for a in single_flips(cfgs, movable, lat.n_sites))
-    dim = len(cfgs)
-    return sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(dim, dim)
-    )
+    dim, n = len(cfgs), lat.n_sites
+    if constrained:  # int32 views throughout: config_range keeps every value below 2^24
+        movable = cfgmod.flippable_sites(cfgs, lat)
+        rows, cols = (a.view(np.int32) for a in single_flips(cfgs, movable, n))
+        return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
+    cols = np.sort(cfgs.view(np.int32)[:, None] ^ (1 << np.arange(n, dtype=np.int32)), axis=1)
+    indptr = np.arange(0, cols.size + 1, n, dtype=np.int32)
+    return sp.csr_matrix((np.ones(cols.size), cols.ravel(), indptr), shape=(dim, dim))
 
 
 def connected_components(graph):

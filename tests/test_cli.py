@@ -440,10 +440,11 @@ def test_evolve_counters_identical_bytes(capsys):
     assert report["chebyshev_order"] > 0
     assert report["probe_dim"] == 0
     assert report["half_width"] > 0.0
-    # the default probe lives in two of the four sublattice-toggle sectors of
-    # 2^16 / 4 rows; each is one orbit state whose return amplitude comes from
-    # moments, two per mat-vec: half its rows per order
-    assert report["rows_per_order"] == 16384
+    # the default probe lives in two of the four sectors of the toggles times
+    # block 0's four translations, of 4,288 and 4,096 orbit states; each is one
+    # orbit state whose return amplitude comes from moments, two per mat-vec:
+    # half its rows per order
+    assert report["rows_per_order"] == (4288 + 4096) // 2
     assert list(report).index("rows_per_order") == list(report).index("half_width") + 1
     assert 0.0 < report["error_bound"] <= report["tol"]
     # a diagonal perturbation keeps the probe's two states eigenstates:

@@ -60,6 +60,28 @@ def sectors_accept(matrix, toggles):
     return True
 
 
+def translate_by_sites(lat, cfgs, dx, dy):
+    """Oracle: bit (x, y) of the result is bit (x + dx, y + dy) of cfgs, site by site."""
+    out = np.zeros_like(cfgs)
+    for y in range(lat.L):
+        for x in range(lat.L):
+            out |= ((cfgs >> lat.site_index(x + dx, y + dy)) & 1) << (y * lat.L + x)
+    return out
+
+
+def commutes_with_translation(lat, matrix, dx, dy):
+    """Oracle: the operator equals its conjugate by the site permutation, entry for entry."""
+    perm = translate_by_sites(lat, np.arange(matrix.shape[0]), dx, dy)
+    coo = matrix.tocoo()
+    diff = matrix - sp.csr_matrix((coo.data, (perm[coo.row], perm[coo.col])), shape=matrix.shape)
+    diff.eliminate_zeros()
+    return diff.nnz == 0
+
+
+def even_translations(L):
+    return tuple((dx, dy) for dy in range(L) for dx in range(L) if (dx + dy) % 2 == 0)
+
+
 def stripe_config(L):
     cfg = 0
     for y in range(L):
@@ -130,6 +152,23 @@ def test_perturbation_symmetry_classes(lat, kind):
     )
     assert symmetric == kind.startswith("sym_")
     assert op.toggles == ((lat.mask_a, lat.mask_b) if symmetric else ())
+    assert op.translations == (even_translations(lat.L) if symmetric else ())
+
+
+@pytest.mark.parametrize("name", ("heff", "hczp", "czp_strong") + dyn.PERTURBATION_KINDS)
+def test_builders_record_the_translations_they_commute_with(lat, name):
+    # (1, 1) and (1, 3) generate the L^2 / 2 translations with dx + dy even;
+    # break_zz_nn commutes with them too, but a break_ kind records none
+    builders = {"heff": dyn.build_heff, "hczp": dyn.build_hczp,
+                "czp_strong": dyn.build_czp_strong}
+    if name in builders:
+        op = builders[name](lat, h=0.3)
+    else:
+        op = dyn.build_perturbation(lat, name, 0.05, seed=7)
+    recorded = not name.startswith("break_")
+    assert op.translations == (even_translations(lat.L) if recorded else ())
+    commutes = all(commutes_with_translation(lat, op.matrix, 1, dy) for dy in (1, 3))
+    assert commutes == (name != "break_longitudinal_random")
 
 
 @pytest.mark.parametrize("kind", dyn.PERTURBATION_KINDS)
@@ -362,8 +401,8 @@ def test_state_of_the_wrong_shape_rejected(blocks, heff, shape):
         dyn.coherence_experiment(blocks[0], heff, [0.0, 1.0], initial=state)
 
 
-def test_coherence_experiment_takes_a_list_state(lat, heff, blocks):
-    op = heff + dyn.build_perturbation(lat, "sym_transverse", 0.05)
+def test_coherence_experiment_takes_a_list_state(blocks, sym_transverse_ops):
+    op = sym_transverse_ops["heff"]
     psi0 = enc.logical_state(blocks[0], [0.6, 0.0, 0.0, 0.8j])
     times = [0.0, 0.5, 1.0]
     from_list = dyn.coherence_experiment(blocks[0], op, times, initial=psi0.tolist())
@@ -438,6 +477,9 @@ def test_operator_addition(lat, heff):
     assert (total.matrix != total.matrix.T).nnz == 0
     assert total.matrix.shape == heff.matrix.shape
     assert total.matrix.nnz >= heff.matrix.nnz
+    assert total.translations == heff.translations == even_translations(lat.L)
+    broken = heff + dyn.build_perturbation(lat, "break_zz_nn", 0.01)
+    assert broken.toggles == () and broken.translations == ()
 
 
 def test_size_guard():
@@ -611,10 +653,9 @@ def test_import_leaves_scipy_linalg_unloaded():
     ]
 
 
-def test_spectral_interval_contains_ritz_values(lat):
+def test_spectral_interval_contains_ritz_values(lat, sym_transverse_ops):
     # extremal Ritz values of a 40-step Lanczos run lie inside the spectrum
-    op = dyn.build_czp_strong(lat, J=1.0) + dyn.build_perturbation(
-        lat, "sym_transverse", 0.05)
+    op = sym_transverse_ops["czp_strong"]
     c, a = interval(op)
     rng = np.random.default_rng(2)
     v = rng.normal(size=1 << lat.n_sites)
@@ -653,7 +694,7 @@ def bases(lat):
 
 @pytest.mark.parametrize("kind", ("none",) + dyn.PERTURBATION_KINDS)
 @pytest.mark.parametrize("base", tuple(_BASES))
-def test_spectral_interval_holds_eigsh_extremes(lat, bases, base, kind):
+def test_spectral_interval_holds_eigsh_extremes(lat, blocks, bases, base, kind):
     # every operator `fragmenta evolve` builds at its defaults: each toggle
     # it records commutes with it, and the interval, taken in the trivial
     # sector of those toggles, is the full space's, holds the extreme
@@ -667,6 +708,11 @@ def test_spectral_interval_holds_eigsh_extremes(lat, bases, base, kind):
     c, a = interval(op)
     c_full, a_full = interval(op, toggles=())
     assert abs(c - c_full) <= 1e-12 * a_full and abs(a - a_full) <= 1e-12 * a_full
+    if op.translations:
+        # and in the trivial sector of block 9's G: the toggles times 8 translations
+        sectors = dyn._Sectors(op.matrix, op.toggles, op.translations, np.sort(blocks[9].members))
+        c, a = dyn._spectral_interval(sectors)
+        assert abs(c - c_full) <= 1e-12 * a_full and abs(a - a_full) <= 1e-12 * a_full
     lo, hi = (float(eigsh(op.matrix, k=1, which=which, tol=1e-12,
                           return_eigenvectors=False)[0]) for which in ("SA", "LA"))
     slack = 1e-9 * max(abs(lo), abs(hi))  # eigsh's own error
@@ -810,73 +856,137 @@ def test_sectors_of_any_toggle_list_against_expm_multiply(lat, random_state, nam
     assert np.linalg.norm(values[0] - reference) <= 1e-9
 
 
-def test_sectors_logical_state_full_output_against_expm_multiply(lat, blocks):
+def test_sectors_logical_state_full_output_against_expm_multiply(blocks, sym_transverse_ops):
     # a logical state has one amplitude per sector, so each sector runs one
-    # real recursion of 2^16 / 4 rows: half of Re and Im over the whole space
-    op = dyn.build_heff(lat) + dyn.build_perturbation(lat, "sym_transverse", 0.05)
+    # real recursion; block 3's K holds two translations, so the four sectors
+    # of G (order 8) have 8,320 + 3 x 8,192 orbit states: not 2^16 / 4 each
+    op = sym_transverse_ops["heff"]
     rng = np.random.default_rng(8)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 = enc.logical_state(blocks[3], amps / np.linalg.norm(amps))
     values, counters = propagate(op, psi0, [2.0])
-    assert counters.rows_per_order == 1 << 16
+    assert counters.rows_per_order == 8320 + 3 * 8192
     psi_t = dyn.evolve(psi0, op, 2.0, tol=1e-10)
     assert np.array_equal(psi_t, values[0])
     reference = expm_multiply(-1j * 2.0 * op.matrix.astype(complex), psi0)
     assert np.linalg.norm(psi_t - reference) <= 1e-9
     # the default probe lives in two of the four sectors
     _, counters = propagate(op, enc.logical_state(blocks[3], dyn.DEFAULT_PROBE), [2.0])
-    assert counters.rows_per_order == (1 << 16) // 2
+    assert counters.rows_per_order == 8320 + 8192
 
 
-@pytest.mark.parametrize("build", [dyn.build_heff, dyn.build_czp_strong],
-                         ids=["heff", "czp_strong"])
-def test_moment_path_on_every_block_against_expm_multiply(lat, blocks, build):
+# rows per order of a logical state recorded on its block, block by block:
+# half the four sectors' dimensions, about 2^16 / (8 |K|) each, where K holds
+# the 2, 4 or 8 translations that map the block to itself
+MOMENT_ROWS_PER_ORDER = (8288, 8288, 16448, 16448, 16448, 16448, 8288,
+                         16448, 16448, 4148, 16448, 8288, 4148, 16448)
+
+
+@pytest.mark.parametrize("name", ["heff", "hczp", "czp_strong"])
+def test_moment_path_on_every_block_against_expm_multiply(lat, blocks, sym_transverse_ops, name):
     # recorded on its orbit alone, as coherence_experiment records it, a
-    # logical state is one orbit state in each of the four sectors: its
-    # amplitudes are return amplitudes from moments, two per mat-vec, so each
-    # sector multiplies half its 2^16 / 4 rows per order
-    op = build(lat) + dyn.build_perturbation(lat, "sym_transverse", 0.05)
+    # logical state is one orbit state in each of the four sectors its K
+    # leaves: its amplitudes are return amplitudes from moments, two per
+    # mat-vec, so each sector multiplies half its rows per order
+    op = sym_transverse_ops[name]
     matrix = op.matrix.astype(complex)
     rng = np.random.default_rng(12)
-    for block in blocks:
+    for block, rows_per_order in zip(blocks, MOMENT_ROWS_PER_ORDER, strict=True):
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi0 = enc.logical_state(block, amps / np.linalg.norm(amps))
         rows = np.sort(block.members)
         values, counters = dyn._propagate(op, psi0, [0.5], 1e-10, rows)
-        assert counters.rows_per_order == (1 << lat.n_sites) // 2
+        assert counters.rows_per_order == rows_per_order
         assert np.abs(values[0] - expm_multiply(-0.5j * matrix, psi0)[rows]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("toggle", ["none", "A^B"])
+def test_k_invariant_state_on_small_orbits_against_expm_multiply(lat, sym_transverse_ops,
+                                                                 toggle):
+    # twelve configurations x with T(x) ^ m = x, T the shift by two columns:
+    # K holds x -> T(x) ^ m, so G has order 8, and the state spreads over
+    # orbits of 4 and of 8 configurations, whose stabilizer norms differ,
+    # and over orbits that vanish in some sectors.  Complex amplitudes run
+    # two real parts in each of the four sectors, 8,320 + 3 x 8,192 rows
+    op = sym_transverse_ops["hczp"]
+    m = {"none": 0, "A^B": lat.mask_a ^ lat.mask_b}[toggle]
+    configs = np.arange(1 << lat.n_sites)
+    fixed = configs[translate_by_sites(lat, configs, 2, 0) ^ m == configs]
+    assert len(fixed) == 256
+    rng = np.random.default_rng(21)
+    psi0 = np.zeros(1 << lat.n_sites, dtype=complex)
+    psi0[rng.choice(fixed, size=12, replace=False)] = rng.normal(size=12) + 1j * rng.normal(size=12)
+    psi0 /= np.linalg.norm(psi0)
+    values, counters = propagate(op, psi0, [0.8])
+    assert counters.rows_per_order == 2 * (8320 + 3 * 8192)
+    psi_t = dyn.evolve(psi0, op, 0.8)
+    assert np.array_equal(psi_t, values[0])
+    reference = expm_multiply(-0.8j * op.matrix.astype(complex), psi0)
+    assert np.linalg.norm(psi_t - reference) <= 1e-9
+
+
+def test_a_translation_recorded_on_a_breaking_operator_is_rejected(lat, heff):
+    # every translation fixes |0>, so K holds all eight, and the random-sign
+    # field commutes with none of them but the identity
+    broken = heff + dyn.build_perturbation(lat, "break_longitudinal_random", 0.05)
+    assert broken.translations == ()
+    op = dyn.SparseOperator(broken.matrix, translations=heff.translations)
+    psi0 = np.zeros(1 << lat.n_sites, dtype=complex)
+    psi0[0] = 1.0
+    with pytest.raises(ValueError, match="does not commute"):
+        dyn.evolve(psi0, op, 1.0)
+    # the toggles are not recorded, so only a translation can have failed
+    with pytest.raises(ValueError, match=r"T\((?!0, 0)"):
+        dyn._Sectors(op.matrix, (), op.translations, [0])
+
+
+def test_recorded_translations_generate_their_group(lat, heff, blocks):
+    # (1, 1) alone generates (2, 2) and (3, 3) as well: block 9's K is the
+    # same from it as from all three, and smaller than from all eight
+    support = np.sort(blocks[9].members)
+
+    def n_reps(translations):
+        return len(dyn._Sectors(heff.matrix, heff.toggles, translations, support).reps)
+
+    assert n_reps(((1, 1),)) == n_reps(((1, 1), (2, 2), (3, 3))) > n_reps(heff.translations)
+    with pytest.raises(ValueError, match="2\\^\\(L\\^2\\) basis"):
+        dyn._Sectors(sp.identity(8, format="csr"), (), ((1, 0),), [0])
 
 
 def test_moment_path_at_thousands_of_orders_against_expm_multiply(lat, blocks):
     # czp_strong + sym_transverse kept on the 548 configurations within Hamming
-    # distance 2 of block 0's orbit: the toggles map that ball to itself, so
-    # the operator still commutes with them, and expm_multiply runs on the
-    # ball alone, cheaply at t = 1,000 (8,352 orders)
+    # distance 2 of block 0's orbit: the toggles and block 0's K (four
+    # translations, each with its toggle) map that ball to itself, so the
+    # operator still commutes with G, though not with the other translations
+    # it records; expm_multiply runs on the ball alone, cheaply at t = 1,000
+    # (8,352 orders)
     block = blocks[0]
     configs = np.arange(1 << lat.n_sites)
     ball = np.min(np.bitwise_count(configs[:, None] ^ np.array(block.members)), axis=1) <= 2
     full = dyn.build_czp_strong(lat) + dyn.build_perturbation(lat, "sym_transverse", 0.3)
     keep = sp.diags(ball.astype(float), format="csr")
-    op = dyn.SparseOperator((keep @ full.matrix @ keep).tocsr(), toggles=full.toggles)
+    op = dyn.SparseOperator((keep @ full.matrix @ keep).tocsr(), full.toggles, full.translations)
     rng = np.random.default_rng(13)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 = enc.logical_state(block, amps / np.linalg.norm(amps))
     rows = np.sort(block.members)
     values, counters = dyn._propagate(op, psi0, [1000.0], 1e-10, rows)
     assert counters.chebyshev_order > 8000
-    assert counters.rows_per_order == (1 << lat.n_sites) // 2
+    assert counters.rows_per_order == MOMENT_ROWS_PER_ORDER[0]
     inside = np.flatnonzero(ball)
     small = full.matrix[inside][:, inside].astype(complex)
     reference = expm_multiply(-1000j * small, psi0[inside])
     assert np.abs(values[0] - reference[np.searchsorted(inside, rows)]).max() <= 1e-9
 
 
-def test_a_basis_state_outside_the_block_keeps_the_recording_path(lat, blocks, heff):
+def test_a_basis_state_outside_the_block_keeps_the_recording_path(lat, blocks,
+                                                                 sym_transverse_ops):
     # a single flip off the orbit is one orbit state per sector too, but the
     # block's orbit is recorded as well: two rows per sector, which only the
     # recording gives, one real part of 2^16 / 4 rows in each of four sectors
+    # (no translation fixes the flipped configuration)
     block = blocks[0]
-    op = heff + dyn.build_perturbation(lat, "sym_transverse", 0.05)
+    op = sym_transverse_ops["heff"]
     psi0 = np.zeros(1 << lat.n_sites, dtype=complex)
     psi0[block.members[0] ^ 1] = 1.0
     series = dyn.coherence_experiment(block, op, np.linspace(0.0, 1.0, 3), initial=psi0)
