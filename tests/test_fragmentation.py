@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -145,6 +146,48 @@ def test_transfer_L12_matches_closed_form():
     assert fr.count_code_states_transfer(12) == fr.formula_count(12) == 16_376
 
 
+@pytest.mark.parametrize("chunk", [1000, 1 << 14])
+def test_transfer_matrix_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    # L = 8 has 32,272 group pairs, one default chunk.  1000 cuts through many
+    # middle rows' runs; with 2^14 the last chunk holds the all-ones row's whole
+    # run, and with it the only admitted pairs near the end of the list
+    want = fr._transfer_matrix(8)
+    monkeypatch.setattr(fr, "TRANSFER_CHUNK", chunk)
+    got = fr._transfer_matrix(8)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_transfer_matrix_L12_digest():
+    # SHA-1 of T's CSR arrays with their dtypes, taken from the per-row build
+    # that the grouped build replaced: the rewrite must keep them byte for byte
+    T = fr._transfer_matrix(12)
+    digest = hashlib.sha1()
+    for name in ("data", "indices", "indptr"):
+        arr = getattr(T, name)
+        digest.update(arr.dtype.str.encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == "065cba437301ab8ea296ec70d222e13cd89cb7d5"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_transfer_L12_within_its_memory_budget():
+    # README size limit (2): 200 MB peak RSS in a fresh interpreter.  The child
+    # reads its own high-water mark, VmHWM: its ru_maxrss would also carry the
+    # peak of this test process, which Linux keeps across the child's exec
+    code = (
+        "import re\n"
+        "from fragmenta import fragmentation as fr\n"
+        "assert fr.count_code_states_transfer(12) == 16_376\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(int(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1)) / 1024)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert float(out.stdout) <= 200
+
+
 def test_transfer_guards():
     with pytest.raises(ValueError):
         fr.count_code_states_transfer(5)
@@ -188,17 +231,43 @@ def test_clean_row_pairs_match_site_definition(L):
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def admitted_by_masks(a, m, c, L):
+    """The transfer build's test: the open sites of m below and above are disjoint."""
+    return (fr._open_sites(m, a, L) & fr._open_sites(m, c, L)) == 0
+
+
 def test_admitted_matches_site_definition_exhaustively_at_L6():
     a, m, c = np.meshgrid(*[np.arange(1 << 6)] * 3, indexing="ij")
-    assert np.array_equal(fr._admitted(a, m, c, 6), admitted_by_site(a, m, c, 6))
+    assert np.array_equal(admitted_by_masks(a, m, c, 6), admitted_by_site(a, m, c, 6))
 
 
 @pytest.mark.parametrize("L", [8, 10])
 def test_admitted_matches_site_definition_on_random_triples(L):
     a, m, c = np.random.default_rng(L).integers(0, 1 << L, size=(3, 200_000))
-    got = fr._admitted(a, m, c, L)
+    got = admitted_by_masks(a, m, c, L)
     assert np.array_equal(got, admitted_by_site(a, m, c, L))
     assert 0 < got.sum() < len(got)  # both outcomes occur
+
+
+@pytest.mark.parametrize("L", [4, 6, 8])
+def test_clean_pairs_are_symmetric(L):
+    rows = np.arange(1 << L)
+    clean = clean_by_site(rows[:, None], rows, L)
+    assert np.array_equal(clean, clean.T)
+
+
+@pytest.mark.parametrize("L", [4, 6, 8, 10])
+def test_pairs_ending_in_each_row_list_the_rows_of_the_pairs_starting_there(L):
+    # the transfer build reads the rows below m off the run of pairs (m, r)
+    a, b = fr._clean_row_pairs(L)
+    by_last = np.argsort(b, kind="stable")
+    row_values = np.arange((1 << L) + 1)
+    starts = np.searchsorted(a, row_values)
+    ends = np.searchsorted(b[by_last], row_values)
+    assert np.array_equal(starts, ends)
+    for m in range(1 << L):
+        below = a[by_last[ends[m]:ends[m + 1]]]
+        assert np.array_equal(below, b[starts[m]:starts[m + 1]]), m
 
 
 @pytest.mark.parametrize("L", [4, 6, 8, 10])
