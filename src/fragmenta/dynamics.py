@@ -10,8 +10,8 @@ perturbation is that unconstrained graph itself.
 
 Perturbations come in two symmetric kinds, which commute with both
 sublattice toggles exactly, and two symmetry-breaking kinds (longitudinal
-random-sign fields and nearest-neighbor ZZ); build_perturbation records both
-toggles for the first and none for the second.  Random signs are used for
+random-sign fields and nearest-neighbor ZZ); build_perturbation records the
+lattice for the first and nothing for the second.  Random signs are used for
 the breaking default because a uniform field can have a vanishing
 first-order effect on sublattice-balanced code states.
 The diagonal kinds are popcounts of neighbor-shift words, like the plaquette
@@ -41,14 +41,14 @@ off-diagonal parts of H, taken with a shift that keeps the diagonal at
 least 1 (so rows with no off-diagonal entry stay finite) and clipped to
 Gershgorin's interval.  The Bessel tail below is computed on that a.
 
-The recursion runs in the symmetry sectors of a permutation group G.  The
-builders record both sublattice XOR toggles and the L^2 / 2 translations
-(dx, dy), dx + dy even, where H commutes with them; a sum keeps what both
-terms record.  K holds the x -> T(x) ^ g (T a recorded translation, g a
-toggle) that fix each configuration of psi0's support, so psi(t) is
-K-invariant (for a logical state, 2, 4 or 8 translations), and G is the
-toggle group times K.  No recorded symmetry is trusted: _Sectors checks that
-H commutes with every element of G, ValueError if not; the exact path reads
+The recursion runs in the symmetry sectors of a permutation group G.  An
+operator's recorded lattice claims both sublattice XOR toggles and the L^2 / 2
+translations (dx, dy), dx + dy even; a sum keeps it if both terms record it.
+K holds the x -> T(x) ^ g (T a translation, g a toggle) that fix each
+configuration of psi0's support, so psi(t) is K-invariant (for a logical
+state, 2, 4 or 8 translations), and G is the toggle group times K, trivial
+with no lattice.  No recorded symmetry is trusted: _Sectors checks that H
+commutes with every element of G, ValueError if not; the exact path reads
 none.  psi0 occupies the sectors trivial on K, one per +-1 character chi_q
 of the toggles: sector q has one orbit state |O_r|^(-1/2) sum_x chi_q(e_x)
 |x>, x = e_x(r), per orbit whose stabilizer has chi_q = 1 (else the sum
@@ -104,32 +104,24 @@ _BESSEL_BUDGET = 2 ** 27  # orders x times the Bessel table may span (3 a t + 10
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """CSR operator on the packed basis.
+    """CSR operator on the packed basis: it must be real symmetric, but only complex is rejected.
 
-    toggles (XOR masks) and translations ((dx, dy) shifts of the torus) are
-    symmetries of the operator, verified by _Sectors wherever the recursion
-    runs in their sectors (module docstring).  The builders record both
-    toggles and the L^2 / 2 translations with dx + dy even for the flip
-    graphs, the plaquette energy and the sym_ kinds, none for the break_ ones.
+    lattice, if not None, needs a 2^n_sites basis (ValueError if not) and claims
+    its symmetries (module docstring), checked by _Sectors where it reads them.
     """
 
     matrix: sp.csr_matrix
-    toggles: tuple = ()
-    translations: tuple = ()
+    lattice: object = None  # a lattice.Lattice
+
+    def __post_init__(self):
+        if self.lattice is not None and self.matrix.shape[0] != 1 << self.lattice.n_sites:
+            raise ValueError(f"dimension {self.matrix.shape[0]} is not 2^{self.lattice.n_sites}")
 
     def apply(self, vec):
         return self.matrix @ vec
 
     def __add__(self, other):
-        shared = (tuple(x for x in mine if x in theirs) for mine, theirs in
-                  ((self.toggles, other.toggles), (self.translations, other.translations)))
-        return SparseOperator((self.matrix + other.matrix).tocsr(), *shared)
-
-
-def _symmetric(matrix, lat):
-    """matrix recording both sublattice toggles and the translations that keep them."""
-    shifts = tuple((dx, dy) for dy in range(lat.L) for dx in range(lat.L) if (dx + dy) % 2 == 0)
-    return SparseOperator(matrix, (lat.mask_a, lat.mask_b), shifts)
+        return SparseOperator((self.matrix + other.matrix).tocsr(), other.lattice and self.lattice)
 
 
 def _translate(w, L, dx, dy):
@@ -143,7 +135,7 @@ def build_heff(lat, h=1.0):
     _check_finite(h=h)
     matrix = move_graph(lat)
     matrix.data *= -h  # in place: a scaled copy (-h * graph) doubled later page faults
-    return _symmetric(matrix, lat)
+    return SparseOperator(matrix, lat)
 
 
 def _plaquette_model(lat, J, h, constrained):
@@ -156,7 +148,7 @@ def _plaquette_model(lat, J, h, constrained):
     flips = move_graph(lat, constrained)
     flips.data *= -h  # in place, as in build_heff
     matrix = sp.diags(energy, format="csr") + flips
-    return _symmetric(matrix, lat)
+    return SparseOperator(matrix, lat)
 
 
 def build_hczp(lat, J=1.0, h=1.0):
@@ -172,8 +164,8 @@ def build_czp_strong(lat, J=1.0, h=1.0):
 def build_perturbation(lat, kind, lam, seed=0):
     """One of the four perturbation kinds, scaled by lam.
 
-    A sym_ kind records both sublattice toggles and the translations, a
-    break_ kind neither; _Sectors verifies them where the propagator reads them.
+    A sym_ kind records the lattice, a break_ kind nothing; _Sectors
+    verifies the lattice's symmetries where the propagator reads them.
     """
     _check_finite(lam=lam)
     if kind == "sym_transverse":
@@ -201,7 +193,7 @@ def build_perturbation(lat, kind, lam, seed=0):
         raise ValueError(f"unknown perturbation kind {kind!r}")
 
     matrix.data *= lam
-    return _symmetric(matrix, lat) if kind.startswith("sym_") else SparseOperator(matrix)
+    return SparseOperator(matrix, lat if kind.startswith("sym_") else None)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +208,8 @@ def _check_tol(tol):
 class _Sectors:
     """An operator in the symmetry-adapted basis of G (module docstring).
 
-    group holds the toggle masks g_s, s a bit pattern, and K the (dx, dy, m)
+    group (toggle masks g_s, s a bit pattern) and shifts ((dx, dy) on the L x L
+    torus, keeping every g_s) are closed groups, and K holds the (dx, dy, m)
     with T(x) ^ g_m = x on support.  Element (T, s), x -> T(x) ^ g_s, has the
     character chars[q, s ^ m] = (-1)^popcount(q & (s ^ m)); chi_q(e) of the
     e with x = e(r), r the orbit minimum, is chars[q, element[x]].  norm is
@@ -227,24 +220,13 @@ class _Sectors:
     over all e these are all of H's rows; ValueError if not.
     """
 
-    def __init__(self, H, toggles, translations=(), support=()):
-        group = [0]
-        for mask in toggles:
-            if mask not in group:
-                group += [g ^ mask for g in group]
+    def __init__(self, H, group, shifts, L, support=()):
         s = np.arange(len(group))
         self.chars = 1.0 - 2.0 * (np.bitwise_count(s[:, None] & s) & 1)
-        L = math.isqrt(H.shape[0].bit_length() - 1)
-        if translations and H.shape[0] != 1 << L * L:
-            raise ValueError(f"translations need a 2^(L^2) basis, got dimension {H.shape[0]}")
-        shifts = {(0, 0)}
-        for _ in range(L * L):  # the group: all products of up to L^2 recorded translations
-            shifts |= {((a + c) % L, (b + d) % L) for a, b in shifts for c, d in translations}
         support, K = np.asarray(support, dtype=np.int64), []
-        for dx, dy in sorted(shifts):
+        for dx, dy in shifts:
             m = int(_translate(support[0], L, dx, dy) ^ support[0]) if len(support) else 0
-            if (m in group and all(_translate(g, L, dx, dy) == g for g in group)
-                    and np.array_equal(_translate(support, L, dx, dy) ^ m, support)):
+            if m in group and np.array_equal(_translate(support, L, dx, dy) ^ m, support):
                 K.append((dx, dy, group.index(m)))
         configs = np.arange(H.shape[0], dtype=np.uint32)  # half int64's memory traffic
         rep, self.element = configs.copy(), np.zeros(len(configs), dtype=np.intp)
@@ -293,6 +275,14 @@ class _Sectors:
         # columns come out unsorted and possibly repeated, which a mat-vec sums
         n = len(self.reps)
         return sp.csr_matrix((data, self.col, self.rows.indptr), shape=(n, n))
+
+
+def _group(lat):
+    """_Sectors' toggle group, even shifts (in sorted order) and L for lat; trivial for None."""
+    if lat is None:
+        return [0], [(0, 0)], 0
+    shifts = [(dx, dy) for dx in range(lat.L) for dy in range(lat.L) if (dx + dy) % 2 == 0]
+    return [0, lat.mask_a, lat.mask_b, lat.mask_a ^ lat.mask_b], shifts, lat.L
 
 
 def _collatz_wielandt_max(absO, d):
@@ -457,7 +447,7 @@ def _propagate(op, psi0, times, tol, rows):
         return values, PropagatorCounters(0, len(S), 0.0, 0.0, 0)
 
     norm = float(np.linalg.norm(psi0[S]))  # on the support: no threaded BLAS call on 2^16 entries
-    sectors = _Sectors(H, op.toggles, op.translations, S)
+    sectors = _Sectors(H, *_group(op.lattice), S)
     c, a = _spectral_interval(sectors)
     coef, bound = _chebyshev_coefficients(a * times, tol / norm)
     need, pos = np.unique(sectors.index[rows], return_inverse=True)  # sector rows recorded

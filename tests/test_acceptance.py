@@ -11,6 +11,7 @@ archived seed-7 curves.
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fragmenta import selftest as st
 from fragmenta.cli import main
 
 SEED = 7
+ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 CURVE_HEADER = ("t", "reX", "imX", "population", "fidelity")
 
 
@@ -115,6 +117,20 @@ def test_criterion_7_coherence_contrast(contrast, tmp_path):
         f"(dE = {d['break_delta_e']:.6f}), "
         f"ratio = {d['loss_ratio']:.4f} < required {st.CONTRAST_FACTOR}"
     )
+
+
+@pytest.mark.parametrize("name, key, tol", [
+    # the run's tol; the curve is 4.3e-11 off, its error_bound 6.9e-11
+    ("sym_transverse", "curve_sym", 1e-10),
+    # the exact path; the archived curve predates it and is 1.6e-13 off
+    ("break_longitudinal", "curve_break", 1e-12),
+])
+def test_criterion_7_curves_match_the_archived_ones(contrast, name, key, tol):
+    archived = np.array(_read_curve(ARTIFACTS / f"coherence_contrast_{name}.csv"))
+    curve = np.array(contrast.details[key])
+    assert archived.shape == curve.shape
+    assert np.array_equal(archived[:, 0], curve[:, 0])
+    assert np.abs(archived[:, 1:] - curve[:, 1:]).max() <= tol
 
 
 def test_criterion_7_symmetric_loss_is_leakage(lat, blocks, contrast):

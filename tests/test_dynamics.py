@@ -13,7 +13,7 @@ from fragmenta import config as cm
 from fragmenta import dynamics as dyn
 from fragmenta import encoding as enc
 from fragmenta.fragmentation import code_states, krylov_decompose
-from fragmenta.lattice import build_lattice
+from fragmenta.lattice import Lattice, build_lattice
 
 SQ2 = 2 ** -0.5
 
@@ -23,10 +23,17 @@ def propagate(op, psi, times):
     return dyn._propagate(op, psi, times, 1e-10, np.arange(len(psi)))
 
 
-def interval(op, toggles=None):
-    """The propagator's spectral interval of op, in the sectors of its toggles."""
-    toggles = op.toggles if toggles is None else toggles
-    return dyn._spectral_interval(dyn._Sectors(op.matrix, toggles))
+def sectors(matrix, symmetry, support=()):
+    """_Sectors of matrix in a lattice's group (the trivial one for None), or
+    in an explicit toggle group such as [0, mask], with no translation."""
+    if symmetry is None or isinstance(symmetry, Lattice):
+        return dyn._Sectors(matrix, *dyn._group(symmetry), support)
+    return dyn._Sectors(matrix, list(symmetry), [(0, 0)], 0, support)
+
+
+def interval(op, group=None):
+    """The propagator's spectral interval of op, in the sectors of its lattice or of group."""
+    return dyn._spectral_interval(sectors(op.matrix, op.lattice if group is None else group))
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +57,11 @@ def commutes_with_toggle(matrix, xor_mask, dim):
     return diff.nnz == 0
 
 
-def sectors_accept(matrix, toggles):
-    """Whether _Sectors accepts the toggles; it raises ValueError for one matrix breaks."""
+def sectors_accept(matrix, symmetry):
+    """Whether _Sectors accepts a lattice's or a toggle group's symmetries; it
+    raises ValueError for one matrix breaks."""
     try:
-        dyn._Sectors(matrix, toggles)
+        sectors(matrix, symmetry)
     except ValueError as err:
         assert "does not commute" in str(err)
         return False
@@ -76,10 +84,6 @@ def commutes_with_translation(lat, matrix, dx, dy):
     diff = matrix - sp.csr_matrix((coo.data, (perm[coo.row], perm[coo.col])), shape=matrix.shape)
     diff.eliminate_zeros()
     return diff.nnz == 0
-
-
-def even_translations(L):
-    return tuple((dx, dy) for dy in range(L) for dx in range(L) if (dx + dy) % 2 == 0)
 
 
 def stripe_config(L):
@@ -151,14 +155,13 @@ def test_perturbation_symmetry_classes(lat, kind):
         for mask in (lat.mask_a, lat.mask_b)
     )
     assert symmetric == kind.startswith("sym_")
-    assert op.toggles == ((lat.mask_a, lat.mask_b) if symmetric else ())
-    assert op.translations == (even_translations(lat.L) if symmetric else ())
+    assert op.lattice is (lat if symmetric else None)
 
 
 @pytest.mark.parametrize("name", ("heff", "hczp", "czp_strong") + dyn.PERTURBATION_KINDS)
 def test_builders_record_the_translations_they_commute_with(lat, name):
     # (1, 1) and (1, 3) generate the L^2 / 2 translations with dx + dy even;
-    # break_zz_nn commutes with them too, but a break_ kind records none
+    # break_zz_nn commutes with them too, but a break_ kind records no lattice
     builders = {"heff": dyn.build_heff, "hczp": dyn.build_hczp,
                 "czp_strong": dyn.build_czp_strong}
     if name in builders:
@@ -166,7 +169,7 @@ def test_builders_record_the_translations_they_commute_with(lat, name):
     else:
         op = dyn.build_perturbation(lat, name, 0.05, seed=7)
     recorded = not name.startswith("break_")
-    assert op.translations == (even_translations(lat.L) if recorded else ())
+    assert op.lattice is (lat if recorded else None)
     commutes = all(commutes_with_translation(lat, op.matrix, 1, dy) for dy in (1, 3))
     assert commutes == (name != "break_longitudinal_random")
 
@@ -179,7 +182,7 @@ def test_diagonal_symmetry_check_agrees_with_conjugation(lat, kind):
     for mask in (lat.mask_a, lat.mask_b):
         by_conjugation = commutes_with_toggle(matrix, mask, matrix.shape[0])
         assert by_conjugation == kind.startswith("sym_")
-        assert sectors_accept(matrix, (mask,)) == by_conjugation
+        assert sectors_accept(matrix, [0, mask]) == by_conjugation
 
 
 @pytest.mark.parametrize("build", (dyn.build_heff, dyn.build_hczp, dyn.build_czp_strong))
@@ -187,9 +190,9 @@ def test_symmetry_check_agrees_with_conjugation_on_the_hamiltonians(lat, build):
     matrix = build(lat, h=0.3).matrix
     for mask in (lat.mask_a, lat.mask_b):
         assert commutes_with_toggle(matrix, mask, matrix.shape[0])
-        assert sectors_accept(matrix, (mask,))
+        assert sectors_accept(matrix, [0, mask])
     # flipping site 0 alone breaks the flip constraints or the plaquette energy
-    assert not sectors_accept(matrix, (1,))
+    assert not sectors_accept(matrix, [0, 1])
     assert not commutes_with_toggle(matrix, 1, matrix.shape[0])
 
 
@@ -199,8 +202,8 @@ def test_symmetry_check_rejects_one_changed_diagonal_entry(lat, heff, random_sta
                                                          monkeypatch):
     # entry 0 of the diagonal, raised where it becomes a matrix, breaks the
     # symmetry of a diagonal kind; for the transverse field, one weight of
-    # the unconstrained move graph changes.  A sym_ kind still records both
-    # toggles, and the propagator's check rejects them
+    # the unconstrained move graph changes.  A sym_ kind still records the
+    # lattice, and the propagator's check rejects its symmetries
     diags, move_graph = dyn.sp.diags, dyn.move_graph
 
     def changed(diag, **kwargs):
@@ -218,13 +221,13 @@ def test_symmetry_check_rejects_one_changed_diagonal_entry(lat, heff, random_sta
     monkeypatch.setattr(dyn, "move_graph", changed_weight)
     op = dyn.build_perturbation(lat, kind, 0.05, seed=7)
     if kind.startswith("sym_"):
-        assert op.toggles == (lat.mask_a, lat.mask_b)
+        assert op.lattice is lat
         with pytest.raises(ValueError, match="does not commute"):
-            dyn._Sectors(op.matrix, op.toggles)
+            sectors(op.matrix, op.lattice)
         with pytest.raises(ValueError, match="does not commute"):
             dyn.evolve(random_state, heff + op, 1.0)
     else:
-        assert op.toggles == ()
+        assert op.lattice is None
 
 
 def diagonal_by_sites(lat, kind, seed):
@@ -268,25 +271,25 @@ def test_symmetry_check_on_other_flip_graphs(lat):
     for matrix, symmetric in ((dyn.move_graph(lat), True), (weighted, True), (changed, False)):
         for mask in (lat.mask_a, lat.mask_b):
             assert commutes_with_toggle(matrix, mask, dim) == symmetric
-            assert sectors_accept(matrix, (mask,)) == symmetric
+            assert sectors_accept(matrix, [0, mask]) == symmetric
 
 
 def test_symmetry_check_compares_rows_not_only_entries():
     # conjugating [[1, 1], [0, 0]] by x -> x ^ 1 moves both entries to row 1,
     # where sorted they read as row 0 did: only the row lengths tell them apart
     matrix = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
-    assert not sectors_accept(matrix, (1,))
+    assert not sectors_accept(matrix, [0, 1])
     assert not commutes_with_toggle(matrix, 1, 2)
-    assert sectors_accept(sp.csr_matrix(np.ones((2, 2))), (1,))
+    assert sectors_accept(sp.csr_matrix(np.ones((2, 2))), [0, 1])
     # the stored column order does not matter: row 0 holds columns 1, 0
     unsorted = sp.csr_matrix((np.ones(4), np.array([1, 0, 0, 1]), np.array([0, 2, 4])),
                              shape=(2, 2))
-    assert sectors_accept(unsorted, (1,))
+    assert sectors_accept(unsorted, [0, 1])
     # representatives 0 and 2: rows 1 and 3 conjugated hold columns 1 and 3
     # with data 1, 1, as rows 0 and 2 do, but split 2 + 0 against 1 + 1
     matrix = sp.csr_matrix(np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0],
                                      [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]]))
-    assert not sectors_accept(matrix, (1,))
+    assert not sectors_accept(matrix, [0, 1])
     assert not commutes_with_toggle(matrix, 1, 4)
 
 
@@ -295,7 +298,7 @@ def test_perturbation_at_zero_lambda(lat, kind):
     # lam = 0 is legal, and a sym_ kind's zero matrix still passes the sector check
     op = dyn.build_perturbation(lat, kind, 0.0, seed=7)
     assert not np.any(op.matrix.data)
-    assert sectors_accept(op.matrix, op.toggles)
+    assert sectors_accept(op.matrix, op.lattice)
 
 
 def test_czp_strong_is_heff_plus_plaquette_energy(lat):
@@ -477,9 +480,10 @@ def test_operator_addition(lat, heff):
     assert (total.matrix != total.matrix.T).nnz == 0
     assert total.matrix.shape == heff.matrix.shape
     assert total.matrix.nnz >= heff.matrix.nnz
-    assert total.translations == heff.translations == even_translations(lat.L)
-    broken = heff + dyn.build_perturbation(lat, "break_zz_nn", 0.01)
-    assert broken.toggles == () and broken.translations == ()
+    assert total.lattice is heff.lattice is lat
+    # a sum keeps the lattice only if both terms record it, in either order
+    breaking = dyn.build_perturbation(lat, "break_zz_nn", 0.01)
+    assert (heff + breaking).lattice is None and (breaking + heff).lattice is None
 
 
 def test_size_guard():
@@ -696,22 +700,21 @@ def bases(lat):
 @pytest.mark.parametrize("base", tuple(_BASES))
 def test_spectral_interval_holds_eigsh_extremes(lat, blocks, bases, base, kind):
     # every operator `fragmenta evolve` builds at its defaults: each toggle
-    # it records commutes with it, and the interval, taken in the trivial
-    # sector of those toggles, is the full space's, holds the extreme
-    # eigenvalues and lies inside the Gershgorin interval
+    # of the lattice it records commutes with it, and the interval, taken in
+    # the trivial sector of the lattice's group, is the full space's, holds
+    # the extreme eigenvalues and lies inside the Gershgorin interval
     op = bases[base]
     if kind != "none":
         op = op + dyn.build_perturbation(lat, kind, 0.05, seed=7)
-    assert op.toggles == (() if kind.startswith("break_") else (lat.mask_a, lat.mask_b))
-    for mask in op.toggles:
+    assert op.lattice is (None if kind.startswith("break_") else lat)
+    for mask in (lat.mask_a, lat.mask_b) if op.lattice else ():
         assert commutes_with_toggle(op.matrix, mask, op.matrix.shape[0])
     c, a = interval(op)
-    c_full, a_full = interval(op, toggles=())
+    c_full, a_full = interval(op, group=[0])
     assert abs(c - c_full) <= 1e-12 * a_full and abs(a - a_full) <= 1e-12 * a_full
-    if op.translations:
+    if op.lattice:
         # and in the trivial sector of block 9's G: the toggles times 8 translations
-        sectors = dyn._Sectors(op.matrix, op.toggles, op.translations, np.sort(blocks[9].members))
-        c, a = dyn._spectral_interval(sectors)
+        c, a = dyn._spectral_interval(sectors(op.matrix, op.lattice, np.sort(blocks[9].members)))
         assert abs(c - c_full) <= 1e-12 * a_full and abs(a - a_full) <= 1e-12 * a_full
     lo, hi = (float(eigsh(op.matrix, k=1, which=which, tol=1e-12,
                           return_eigenvectors=False)[0]) for which in ("SA", "LA"))
@@ -837,19 +840,17 @@ def test_sectors_complex_full_state_against_expm_multiply(lat, random_state):
         assert np.linalg.norm(psi - reference) <= 1e-9
 
 
-@pytest.mark.parametrize("names, order", [
-    (("A",), 2),
-    (("B",), 2),
-    (("A", "B", "A^B"), 4),  # the third mask depends on the first two
-])
+# the id is the one this case had beside the single-toggle cases, which no
+# operator can record any more
+@pytest.mark.parametrize("names, order", [pytest.param(("A", "B", "A^B"), 4, id="names2-4")])
 def test_sectors_of_any_toggle_list_against_expm_multiply(lat, random_state, names, order):
-    # the projection and reassembly read the characters of whatever group
-    # the toggles generate: order 2 here, or 4 from a dependent list
+    # the dependent list A, B, A ^ B with the identity is the lattice's toggle
+    # group, and the projection and reassembly read all four of its characters
     masks = {"A": lat.mask_a, "B": lat.mask_b, "A^B": lat.mask_a ^ lat.mask_b}
-    toggles = tuple(masks[name] for name in names)
-    sym = dyn.build_czp_strong(lat) + dyn.build_perturbation(lat, "sym_zz_nnn", 0.05)
-    op = dyn.SparseOperator(sym.matrix, toggles=toggles)
-    assert len(dyn._Sectors(op.matrix, toggles).chars) == order
+    group = [0] + [masks[name] for name in names]
+    op = dyn.build_czp_strong(lat) + dyn.build_perturbation(lat, "sym_zz_nnn", 0.05)
+    assert group == dyn._group(op.lattice)[0]
+    assert len(sectors(op.matrix, group).chars) == order
     values, counters = propagate(op, random_state, [0.7])
     assert counters.rows_per_order == 2 * (1 << lat.n_sites)
     reference = expm_multiply(-1j * 0.7 * op.matrix.astype(complex), random_state)
@@ -925,32 +926,39 @@ def test_k_invariant_state_on_small_orbits_against_expm_multiply(lat, sym_transv
     assert np.linalg.norm(psi_t - reference) <= 1e-9
 
 
-def test_a_translation_recorded_on_a_breaking_operator_is_rejected(lat, heff):
-    # every translation fixes |0>, so K holds all eight, and the random-sign
-    # field commutes with none of them but the identity
-    broken = heff + dyn.build_perturbation(lat, "break_longitudinal_random", 0.05)
-    assert broken.translations == ()
-    op = dyn.SparseOperator(broken.matrix, translations=heff.translations)
+def test_a_translation_recorded_on_a_breaking_operator_is_rejected(lat):
+    # the unconstrained flips with site 0's weighing 2 commute with both
+    # toggles, but not with a translation that moves site 0.  Every
+    # translation fixes |0>, so K holds all eight, and the check names one
+    g = lat.mask_a ^ lat.mask_b
+    graph = dyn.move_graph(lat, constrained=False)
+    rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+    graph.data[(rows ^ graph.indices) == 1] = 2.0
+    assert sectors_accept(graph, [0, lat.mask_a, lat.mask_b, g])
+    assert not commutes_with_translation(lat, graph, 0, 2)
+    op = dyn.SparseOperator(graph, lat)
     psi0 = np.zeros(1 << lat.n_sites, dtype=complex)
     psi0[0] = 1.0
-    with pytest.raises(ValueError, match="does not commute"):
-        dyn.evolve(psi0, op, 1.0)
-    # the toggles are not recorded, so only a translation can have failed
     with pytest.raises(ValueError, match=r"T\((?!0, 0)"):
-        dyn._Sectors(op.matrix, (), op.translations, [0])
+        dyn.evolve(psi0, op, 1.0)
 
 
-def test_recorded_translations_generate_their_group(lat, heff, blocks):
-    # (1, 1) alone generates (2, 2) and (3, 3) as well: block 9's K is the
-    # same from it as from all three, and smaller than from all eight
-    support = np.sort(blocks[9].members)
+def test_recorded_translations_generate_their_group(lat):
+    # _Sectors checks each element it is handed, and no other: the lattice's
+    # toggles and even shifts must each be closed, and each shift must keep
+    # both toggles, for that check to cover the group
+    group, shifts, L = dyn._group(lat)
+    assert {a ^ b for a in group for b in group} == set(group) and len(group) == 4
+    assert {((a + c) % L, (b + d) % L) for a, b in shifts for c, d in shifts} == set(shifts)
+    assert shifts == sorted(shifts) and len(shifts) == L * L // 2
+    for dx, dy in shifts:
+        assert np.array_equal(translate_by_sites(lat, np.array(group), dx, dy), group)
 
-    def n_reps(translations):
-        return len(dyn._Sectors(heff.matrix, heff.toggles, translations, support).reps)
 
-    assert n_reps(((1, 1),)) == n_reps(((1, 1), (2, 2), (3, 3))) > n_reps(heff.translations)
-    with pytest.raises(ValueError, match="2\\^\\(L\\^2\\) basis"):
-        dyn._Sectors(sp.identity(8, format="csr"), (), ((1, 0),), [0])
+def test_a_lattice_on_another_basis_is_rejected_when_recorded(lat):
+    with pytest.raises(ValueError, match=r"dimension 8 is not 2\^16"):
+        dyn.SparseOperator(sp.identity(8, format="csr"), lat)
+    assert dyn.SparseOperator(sp.identity(8, format="csr")).lattice is None
 
 
 def test_moment_path_at_thousands_of_orders_against_expm_multiply(lat, blocks):
@@ -965,7 +973,7 @@ def test_moment_path_at_thousands_of_orders_against_expm_multiply(lat, blocks):
     ball = np.min(np.bitwise_count(configs[:, None] ^ np.array(block.members)), axis=1) <= 2
     full = dyn.build_czp_strong(lat) + dyn.build_perturbation(lat, "sym_transverse", 0.3)
     keep = sp.diags(ball.astype(float), format="csr")
-    op = dyn.SparseOperator((keep @ full.matrix @ keep).tocsr(), full.toggles, full.translations)
+    op = dyn.SparseOperator((keep @ full.matrix @ keep).tocsr(), full.lattice)
     rng = np.random.default_rng(13)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 = enc.logical_state(block, amps / np.linalg.norm(amps))
@@ -996,11 +1004,11 @@ def test_a_basis_state_outside_the_block_keeps_the_recording_path(lat, blocks,
 
 
 def test_an_operator_without_toggles_keeps_the_recording_path(lat, blocks):
-    # hczp + break_longitudinal_random records no toggles: one sector, in
+    # hczp + break_longitudinal_random records no lattice: one sector, in
     # which the block's four members are four rows to record
     block = blocks[0]
     op = dyn.build_hczp(lat) + dyn.build_perturbation(lat, "break_longitudinal_random", 0.05)
-    assert op.toggles == ()
+    assert op.lattice is None
     series = dyn.coherence_experiment(block, op, np.linspace(0.0, 1.0, 3))
     assert series.counters.rows_per_order == 1 << lat.n_sites
     psi0 = enc.logical_state(block, dyn.DEFAULT_PROBE)
@@ -1008,11 +1016,11 @@ def test_an_operator_without_toggles_keeps_the_recording_path(lat, blocks):
 
 
 def test_a_false_toggle_is_rejected_where_the_sectors_are_built(lat, blocks):
-    # hczp + break_longitudinal_random with both toggles recorded by hand:
-    # trusted, this state at t = 3 came out 1.43 (2-norm) from expm_multiply
-    # while error_bound read 5.6e-11
+    # hczp + break_longitudinal_random with the lattice recorded by hand:
+    # when recorded toggles were trusted, this state at t = 3 came out 1.43
+    # (2-norm) from expm_multiply while error_bound read 5.6e-11
     sym = dyn.build_hczp(lat) + dyn.build_perturbation(lat, "break_longitudinal_random", 0.3)
-    op = dyn.SparseOperator(sym.matrix, toggles=(lat.mask_a, lat.mask_b))
+    op = dyn.SparseOperator(sym.matrix, lat)
     rng = np.random.default_rng(5)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi0 = enc.logical_state(blocks[0], amps / np.linalg.norm(amps))
@@ -1026,25 +1034,25 @@ def test_symmetry_check_reads_the_rows_of_the_product_toggle(lat, heff, random_s
     # a symmetric edit on two rows whose group element is mask_a ^ mask_b:
     # checking the two generators alone never reads those rows
     g = lat.mask_a ^ lat.mask_b
-    group = (0, lat.mask_a, lat.mask_b, g)
+    group = [0, lat.mask_a, lat.mask_b, g]
     x, y = g, 3 ^ g
     for row in (x, y):
         assert min(row ^ h for h in group) == row ^ g
     assert heff.matrix[x, y] == 0.0
     edit = sp.csr_matrix(([1.0, 1.0], ([x, y], [y, x])), shape=heff.matrix.shape)
-    op = dyn.SparseOperator((heff.matrix + edit).tocsr(), toggles=heff.toggles)
+    op = dyn.SparseOperator((heff.matrix + edit).tocsr(), lat)
     assert not commutes_with_toggle(op.matrix, lat.mask_a, op.matrix.shape[0])
     with pytest.raises(ValueError, match="does not commute"):
-        dyn._Sectors(op.matrix, op.toggles)
+        sectors(op.matrix, group)
     with pytest.raises(ValueError, match="does not commute"):
         dyn.evolve(random_state, op, 1.0)
 
 
 def test_operator_without_toggles_against_expm_multiply(lat, heff, random_state):
-    # breaking the symmetry drops the toggles: one sector, the whole space
+    # breaking the symmetry drops the lattice: one sector, the whole space
     op = heff + dyn.build_perturbation(lat, "break_zz_nn", 0.05)
-    assert op.toggles == ()
-    assert dyn.SparseOperator(matrix=heff.matrix).toggles == ()
+    assert op.lattice is None
+    assert dyn.SparseOperator(matrix=heff.matrix).lattice is None
     values, counters = propagate(op, random_state, [0.9])
     assert counters.chebyshev_order > 0
     assert counters.rows_per_order == 2 * (1 << lat.n_sites)
